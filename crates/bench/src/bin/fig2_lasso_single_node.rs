@@ -7,12 +7,12 @@
 //! consensus ADMM → reduces) on a scaled dataset with the cost model
 //! evaluated at 68 cores and print the same four bars.
 
+use std::sync::{Arc, Mutex};
 use uoi_bench::setups::{machine, single_node};
 use uoi_bench::straggler::{annotate_with_study, StudyPipeline};
 use uoi_bench::{
     emit_run_report, exec_ranks, fmt_bytes, quick_mode, scale_divisor, BenchTrace, Table,
 };
-use std::sync::{Arc, Mutex};
 
 use uoi_core::{DistOptions, ExecMode, NumericalConfig, ParallelLayout, UoiFitter, UoiLassoConfig};
 use uoi_data::LinearConfig;
@@ -49,7 +49,7 @@ fn main() {
     // In-rank ADMM workers over the lambda path: UOI_THREADS overrides,
     // and any multi-threaded run switches to the fused lockstep schedule
     // so adjacent lambdas share one factorisation per round.
-    let threads = AdmmConfig::env_threads(4);
+    let threads = uoi_bench::threads(4);
     let schedule = if threads > 1 {
         PathSchedule::Fused
     } else {

@@ -11,7 +11,6 @@ use uoi_bench::straggler::{annotate_with_study, StudyPipeline};
 use uoi_bench::workload::VarScalingRun;
 use uoi_bench::{emit_run_report, exec_ranks, fmt_bytes, quick_mode, BenchTrace, Table};
 use uoi_mpisim::Phase;
-use uoi_solvers::AdmmConfig;
 
 fn main() {
     let point = single_node();
@@ -28,7 +27,7 @@ fn main() {
     // In-rank ADMM workers over the response columns (UOI_THREADS
     // overrides): each lockstep round charges ceil(columns/threads)
     // column-updates of modeled compute instead of all of them.
-    let threads = AdmmConfig::env_threads(4);
+    let threads = uoi_bench::threads(4);
     let run = VarScalingRun {
         features: p,
         samples: 2 * p,

@@ -35,6 +35,17 @@ pub fn exec_ranks() -> usize {
         .unwrap_or(8)
 }
 
+/// In-rank worker threads (`UOI_THREADS`; unset, unparsable or zero
+/// falls back to `default`). Read here, at the binary's edge: the
+/// library crates take the count only through `AdmmConfig::threads`.
+pub fn threads(default: usize) -> usize {
+    std::env::var("UOI_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .filter(|&n: &usize| n >= 1)
+        .unwrap_or(default)
+}
+
 /// The dataset scale divisor (`UOI_SCALE`, default 1024): executed
 /// problems are `paper_bytes / scale`.
 pub fn scale_divisor() -> u64 {

@@ -23,8 +23,8 @@
 //!
 //! Mode dispatch:
 //!
-//! * [`ExecMode::Serial`] — the in-process fit (optionally multi-threaded
-//!   inside the rank via [`UoiFitter::threads`]);
+//! * [`ExecMode::Serial`] — the in-process fit, with its independent
+//!   tasks fanned out over [`UoiFitter::threads`] OS threads;
 //! * [`ExecMode::Dist`] — spins up a simulated [`Cluster`] internally and
 //!   returns rank 0's fit. Callers that drive their own cluster (custom
 //!   machine models, `modeled_ranks` extrapolation) use
@@ -35,7 +35,9 @@
 //! Numerical contract: the mode and thread count never change the fitted
 //! numbers — `Serial`, `Dist`, and a successful `Recovering` run produce
 //! bit-identical supports and coefficients for the same configuration,
-//! and `threads` only affects the modeled wall-clock.
+//! for every `threads` value. `threads` sets how many OS threads a
+//! serial fit uses (the dist and recovering executors keep one worker
+//! per rank) and the modeled wall-clock of the lockstep solvers.
 
 use crate::error::UoiError;
 use crate::parallelism::ParallelLayout;
@@ -53,7 +55,7 @@ use crate::uoi_var_dist::{KronStats, UoiVarDistConfig};
 use crate::uoi_var_recovering::fit_uoi_var_recovering;
 use uoi_linalg::Matrix;
 use uoi_mpisim::{Cluster, Comm, MachineModel, RankCtx};
-use uoi_solvers::{AdmmConfig, PathSchedule};
+use uoi_solvers::PathSchedule;
 
 /// Where and how a fit executes.
 #[derive(Debug, Clone, Default)]
@@ -177,17 +179,12 @@ impl UoiFitter {
         self
     }
 
-    /// In-rank worker threads for the ADMM `(bootstrap, lambda)` loop.
-    /// Affects only the modeled wall-clock, never the numbers.
+    /// In-rank worker threads. A serial fit fans its Gram bands,
+    /// selection bootstraps and estimation resamples out over this many
+    /// OS threads; never changes the numbers (see
+    /// `AdmmConfig::threads`).
     pub fn threads(mut self, n: usize) -> Self {
         self.cfg.admm.threads = n;
-        self
-    }
-
-    /// Override the thread count from `UOI_THREADS` when set (and `>= 1`);
-    /// keeps the current value otherwise.
-    pub fn env_threads(mut self) -> Self {
-        self.cfg.admm.threads = AdmmConfig::env_threads(self.cfg.admm.threads);
         self
     }
 
@@ -272,15 +269,11 @@ impl UoiVarFitter {
         self
     }
 
-    /// In-rank worker threads for the ADMM `(bootstrap, lambda)` loop.
+    /// In-rank worker threads. A serial fit fans its Gram bands, VAR
+    /// column paths and estimation resamples out over this many OS
+    /// threads; never changes the numbers (see `AdmmConfig::threads`).
     pub fn threads(mut self, n: usize) -> Self {
         self.cfg.base.admm.threads = n;
-        self
-    }
-
-    /// Override the thread count from `UOI_THREADS` when set (and `>= 1`).
-    pub fn env_threads(mut self) -> Self {
-        self.cfg.base.admm.threads = AdmmConfig::env_threads(self.cfg.base.admm.threads);
         self
     }
 

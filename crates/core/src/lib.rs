@@ -2,8 +2,8 @@
 //!
 //! The paper's primary contribution: **Union of Intersections** for sparse
 //! linear regression (`UoI_LASSO`, Algorithm 1) and Granger-causal VAR
-//! inference (`UoI_VAR`, Algorithm 2), in shared-memory (rayon) and
-//! distributed (simulated-MPI) forms.
+//! inference (`UoI_VAR`, Algorithm 2), in shared-memory (in-rank
+//! threads, `uoi_linalg::par`) and distributed (simulated-MPI) forms.
 
 #![allow(clippy::needless_range_loop)]
 

@@ -167,7 +167,7 @@ impl NumericalConfig {
 }
 
 /// Thread-safe accumulator of [`TraceEvent::Numerical`] records for one
-/// fit. Events are pushed from rayon workers in nondeterministic order;
+/// fit. Events are pushed from in-rank workers in nondeterministic order;
 /// the report aggregation sorts, so the drained report is a pure
 /// function of the event *set* and stays byte-identical across reruns.
 #[derive(Default)]

@@ -1,6 +1,6 @@
 //! `UoI_LASSO` (paper Algorithm 1): Union of Intersections for sparse
-//! linear regression, shared-memory implementation with rayon parallelism
-//! over bootstrap resamples (the `P_B` axis).
+//! linear regression, shared-memory implementation with in-rank threads
+//! over bootstrap resamples (the `P_B` axis; see [`fan_out`]).
 //!
 //! **Model selection** (lines 1–11): for `B1` bootstrap resamples, solve a
 //! LASSO-ADMM path over `q` lambdas, record the nonzero supports, and
@@ -19,7 +19,6 @@ use crate::degraded::{
 use crate::error::{all_finite, UoiError};
 use crate::numerical::NumericalConfig;
 use crate::support::{dedup_family, intersect_many};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use uoi_data::bootstrap::{resample_weights, row_bootstrap};
 use uoi_data::rng::substream;
@@ -53,6 +52,51 @@ pub(crate) fn traced<R>(tel: &Telemetry, name: &str, body: impl FnOnce() -> R) -
         t: t0.elapsed().as_secs_f64(),
     });
     out
+}
+
+/// Run `body` over `work` on `workers` threads of the fork-join
+/// ([`uoi_linalg::par`]), results in task order.
+///
+/// `body` records through the handle it is given. With one worker, or
+/// with telemetry disabled, that is `tel` itself. Otherwise each task
+/// gets a [`Telemetry::deferred`] handle, and the buffers are replayed
+/// into `tel` in task order after the join, so the trace and the
+/// metrics match a one-worker run exactly.
+pub(crate) fn fan_out<T: Send, R: Send>(
+    tel: &Telemetry,
+    workers: usize,
+    work: Vec<T>,
+    body: impl Fn(&Telemetry, T) -> R + Sync,
+) -> Vec<R> {
+    if workers <= 1 || !(tel.tracing_enabled() || tel.metrics_enabled()) {
+        return uoi_linalg::par::map(workers, work, |t| body(tel, t));
+    }
+    let done = uoi_linalg::par::map(workers, work, |t| {
+        let (handle, buf) = tel.deferred();
+        (body(&handle, t), buf)
+    });
+    done.into_iter()
+        .map(|(r, buf)| {
+            buf.emit_into(tel);
+            r
+        })
+        .collect()
+}
+
+/// [`fan_out`] over the serial pipeline's tasks: `cfg.admm.threads`
+/// workers, and each task sees `cfg` with its own telemetry handle.
+pub(crate) fn fan_out_tasks<T: Send, R: Send>(
+    cfg: &UoiLassoConfig,
+    work: Vec<T>,
+    body: impl Fn(&UoiLassoConfig, T) -> R + Sync,
+) -> Vec<R> {
+    fan_out(&cfg.telemetry, cfg.admm.threads, work, |tel, t| {
+        let task_cfg = UoiLassoConfig {
+            telemetry: tel.clone(),
+            ..cfg.clone()
+        };
+        body(&task_cfg, t)
+    })
 }
 
 /// How candidate supports are scored in the estimation step.
@@ -572,7 +616,7 @@ pub(crate) fn record_estimation_convergence(tel: &Telemetry, k: usize) {
 }
 
 /// The full selection task body for bootstrap `k` (Algorithm 1 lines
-/// 2–10): shared by the serial rayon loop and the recovering pipeline's
+/// 2–10): shared by the serial fan-out and the recovering pipeline's
 /// per-rank task execution, so re-executed tasks are bit-identical.
 pub(crate) fn selection_task(
     xc: &Matrix,
@@ -697,6 +741,7 @@ pub(crate) fn estimation_task(
 /// winner embedded in full-`p` coordinates. All Gram reads (sub-Gram
 /// extraction, `symv` quad form) touch only the upper triangle, so the
 /// upper-stored batched Gram needs no mirror.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn estimation_score(
     xu: &Matrix,
     yc: &[f64],
@@ -852,9 +897,11 @@ pub(crate) fn fit_inner(x: &Matrix, y: &[f64], cfg: &UoiLassoConfig) -> Result<U
     // sequential in ascending k, so budget consumption is deterministic),
     // then one batched Gram + rhs pass over the centred design covers
     // every bootstrap still to compute: the design streams from memory
-    // once instead of once per bootstrap. A slot holds `Some(supports)`
-    // on success and `None` when the fault plan killed the task or the
-    // preemption budget ran dry; `Err` only for checkpoint write failures.
+    // once instead of once per bootstrap. The Gram bands and then the
+    // per-bootstrap solves fan out over `admm.threads` workers. A slot
+    // holds `Some(supports)` on success and `None` when the fault plan
+    // killed the task or the preemption budget ran dry; `Err` only for
+    // checkpoint write failures (the lowest bootstrap's, if several).
     let selection_results: Vec<Option<Vec<Vec<usize>>>> =
         traced(&cfg.telemetry, "uoi_lasso.selection", || {
             let mut slots: Vec<Option<Vec<Vec<usize>>>> = (0..cfg.b1).map(|_| None).collect();
@@ -885,23 +932,22 @@ pub(crate) fn fit_inner(x: &Matrix, y: &[f64], cfg: &UoiLassoConfig) -> Result<U
                 }
             }
             let wrefs: Vec<&[f64]> = weights.iter().map(|w| w.as_slice()).collect();
-            let systems = uoi_linalg::gram_rhs_batch(&xc, &yc, &wrefs);
+            let systems = uoi_linalg::gram_rhs_batch_par(&xc, &yc, &wrefs, cfg.admm.threads);
             let work: Vec<_> = to_compute.iter().copied().zip(systems).collect();
-            let solved = work
-                .into_par_iter()
-                .map(|(k, (gram, xty))| {
-                    // `None` = the task fell off the numerical fallback
-                    // ladder; the slot stays empty and the task joins
-                    // the degraded-mode quorum accounting below. Dropped
-                    // tasks are never checkpointed: a rerun retries them.
-                    let supports = selection_solve_checked(gram.into_upper(), &xty, &lambdas, cfg, k);
-                    if let (Some(st), Some(sup)) = (&store, &supports) {
-                        st.save_supports("sel", k, sup)?;
-                    }
-                    computed.fetch_add(1, Ordering::SeqCst);
-                    Ok((k, supports))
-                })
-                .collect::<Result<Vec<_>, UoiError>>()?;
+            let solved = fan_out_tasks(cfg, work, |cfg, (k, (gram, xty))| {
+                // `None` = the task fell off the numerical fallback
+                // ladder; the slot stays empty and the task joins the
+                // degraded-mode quorum accounting below. Dropped tasks
+                // are never checkpointed: a rerun retries them.
+                let supports = selection_solve_checked(gram.into_upper(), &xty, &lambdas, cfg, k);
+                if let (Some(st), Some(sup)) = (&store, &supports) {
+                    st.save_supports("sel", k, sup)?;
+                }
+                computed.fetch_add(1, Ordering::SeqCst);
+                Ok((k, supports))
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, UoiError>>()?;
             for (k, supports) in solved {
                 slots[k] = supports;
             }
@@ -985,15 +1031,16 @@ pub(crate) fn fit_inner(x: &Matrix, y: &[f64], cfg: &UoiLassoConfig) -> Result<U
                 }
             }
             let wrefs: Vec<&[f64]> = resamples.iter().map(|(w, _, _)| w.as_slice()).collect();
-            let systems = uoi_linalg::gram_rhs_batch(&xu, &yc, &wrefs);
+            let systems = uoi_linalg::gram_rhs_batch_par(&xu, &yc, &wrefs, cfg.admm.threads);
             let work: Vec<_> = to_compute
                 .iter()
                 .copied()
                 .zip(resamples.into_iter().zip(systems))
                 .collect();
-            let solved = work
-                .into_par_iter()
-                .map(|(k, ((w, eval_idx, n_train), (gram_u, xty_u)))| {
+            let solved = fan_out_tasks(
+                cfg,
+                work,
+                |cfg, (k, ((w, eval_idx, n_train), (gram_u, xty_u)))| {
                     let sys = EstimationSystem {
                         gram_u: gram_u.into_upper(),
                         xty_u,
@@ -1008,8 +1055,10 @@ pub(crate) fn fit_inner(x: &Matrix, y: &[f64], cfg: &UoiLassoConfig) -> Result<U
                     }
                     computed.fetch_add(1, Ordering::SeqCst);
                     Ok((k, full))
-                })
-                .collect::<Result<Vec<_>, UoiError>>()?;
+                },
+            )
+            .into_iter()
+            .collect::<Result<Vec<_>, UoiError>>()?;
             for (k, full) in solved {
                 slots[k] = Some(full);
             }
@@ -1067,7 +1116,12 @@ pub(crate) fn fit_inner(x: &Matrix, y: &[f64], cfg: &UoiLassoConfig) -> Result<U
 /// row: its weighted Gram has rank <= 1, the classic zero-variance
 /// degeneracy. Flag-only — the guarded solver absorbs the singular
 /// system; this just names the cause in the health report.
-pub(crate) fn note_degenerate_resample(cfg: &UoiLassoConfig, stage: &'static str, k: usize, w: &[f64]) {
+pub(crate) fn note_degenerate_resample(
+    cfg: &UoiLassoConfig,
+    stage: &'static str,
+    k: usize,
+    w: &[f64],
+) {
     let distinct = w.iter().filter(|v| **v > 0.0).count();
     if distinct <= 1 {
         cfg.numerical.ledger().note_resample_issue(

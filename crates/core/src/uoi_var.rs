@@ -21,13 +21,12 @@ use crate::support::dedup_family;
 use crate::support::intersect_many;
 use crate::uoi_lasso::UoiLassoConfig;
 use crate::var_matrices::{partition_coefficients, VarRegression};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use uoi_data::bootstrap::{block_bootstrap, default_block_len, resample_weights};
 use uoi_data::rng::substream;
 use uoi_linalg::{dot, gemv_t_weighted_multi, Matrix};
-use uoi_solvers::{geometric_grid, ols_on_support_gram, support_of, LassoAdmm};
-use uoi_telemetry::TraceEvent;
+use uoi_solvers::{geometric_grid, ols_on_support_gram, support_of, AdmmSolution, LassoAdmm};
+use uoi_telemetry::{Telemetry, TraceEvent};
 
 /// Hyperparameters of `UoI_VAR`.
 #[derive(Debug, Clone)]
@@ -430,14 +429,34 @@ pub(crate) fn var_selection_solve(
     // A task that falls off the numerical fallback ladder degrades to
     // empty supports on every lambda (callers that require a payload per
     // task still complete); serial `fit_inner` uses the checked variant
-    // and drops the task into the quorum accounting instead.
-    var_selection_solve_checked(prob, base, p, gram, w, k)
+    // and drops the task into the quorum accounting instead. The
+    // recovering executor's ranks are already threads: one worker each.
+    var_selection_solve_checked(prob, base, p, gram, w, k, 1)
         .unwrap_or_else(|| vec![Vec::new(); prob.lambdas.len()])
+}
+
+/// One lambda path per response column, fanned out over `workers`
+/// threads. Each column runs on a clone of `solver` (the factorisation is
+/// shared) that records into the column's own telemetry handle, so the
+/// metrics merge in column order whatever the scheduling.
+fn column_paths<R: Send>(
+    tel: &Telemetry,
+    solver: &LassoAdmm,
+    xtys: &[Vec<f64>],
+    workers: usize,
+    path: impl Fn(&LassoAdmm, &[f64]) -> R + Sync,
+) -> Vec<R> {
+    let work: Vec<&[f64]> = xtys.iter().map(|v| v.as_slice()).collect();
+    crate::uoi_lasso::fan_out(tel, workers, work, |tel, xty| match tel.metrics() {
+        Some(m) => path(&solver.clone().with_metrics(m), xty),
+        None => path(solver, xty),
+    })
 }
 
 /// [`var_selection_solve`] with drop semantics: `None` means the task
 /// fell off the end of the numerical fallback ladder. With resilience
 /// disabled this is the historical unguarded solve and never `None`.
+/// The `p` column paths fan out over `workers` threads.
 pub(crate) fn var_selection_solve_checked(
     prob: &VarProblem,
     base: &UoiLassoConfig,
@@ -445,8 +464,10 @@ pub(crate) fn var_selection_solve_checked(
     gram: Matrix,
     w: &[f64],
     k: usize,
+    workers: usize,
 ) -> Option<Vec<Vec<usize>>> {
-    let tracing = base.telemetry.tracing_enabled();
+    let tel = &base.telemetry;
+    let tracing = tel.tracing_enabled();
     let mut admm = base.admm.clone();
     admm.capture_curve = tracing;
     let ys: Vec<Vec<f64>> = (0..p).map(|i| prob.reg.y.col(i)).collect();
@@ -454,15 +475,11 @@ pub(crate) fn var_selection_solve_checked(
     let xtys = gemv_t_weighted_multi(&prob.reg.x, w, &yrefs);
 
     // Per-column lambda paths: one shared factorisation, p solves.
-    let mut col_sols: Vec<Vec<uoi_solvers::AdmmSolution>> = Vec::with_capacity(p);
-    if !base.numerical.enabled {
-        let mut solver = LassoAdmm::from_gram(gram, admm);
-        if let Some(m) = base.telemetry.metrics() {
-            solver = solver.with_metrics(m);
-        }
-        for xty in &xtys {
-            col_sols.push(solver.solve_path_with_rhs(xty, &prob.lambdas));
-        }
+    let col_sols: Vec<Vec<AdmmSolution>> = if !base.numerical.enabled {
+        let solver = LassoAdmm::from_gram(gram, admm);
+        column_paths(tel, &solver, &xtys, workers, |s, xty| {
+            s.solve_path_with_rhs(xty, &prob.lambdas)
+        })
     } else {
         let ledger = base.numerical.ledger();
         let mut solver =
@@ -485,18 +502,22 @@ pub(crate) fn var_selection_solve_checked(
                     return None;
                 }
             };
-        if let Some(m) = base.telemetry.metrics() {
-            solver = solver.with_metrics(m);
-        }
         // One shared factorisation: record its health once, then fold
         // the p column paths' divergence ledgers together (dedup by
-        // lambda — several columns may trip on the same lambda).
+        // lambda — several columns may trip on the same lambda). The
+        // guarded paths fan out; rho restarts (rare, and cached on the
+        // solver) run after the join in column order.
         ledger.note_factor(&base.telemetry, "selection", k, &solver.factor_health());
+        let cap = solver.divergence_cap();
+        let guarded = column_paths(tel, solver.inner(), &xtys, workers, |s, xty| {
+            s.solve_path_guarded_with_rhs(xty, &prob.lambdas, cap)
+        });
         let mut restarts = 0u32;
         let mut recovered = std::collections::BTreeSet::new();
         let mut diverged = std::collections::BTreeSet::new();
-        for xty in &xtys {
-            let (sols, health) = solver.solve_path_with_rhs(xty, &prob.lambdas);
+        let mut col_sols = Vec::with_capacity(p);
+        for (xty, (out, tripped)) in xtys.iter().zip(guarded) {
+            let (sols, health) = solver.recover_path(xty, &prob.lambdas, out, tripped);
             restarts += health.rho_restarts;
             recovered.extend(health.recovered);
             diverged.extend(health.diverged);
@@ -513,7 +534,8 @@ pub(crate) fn var_selection_solve_checked(
             ledger.note_task_dropped(&base.telemetry, "selection", k, "divergence_unrecovered");
             return None;
         }
-    }
+        col_sols
+    };
 
     // supports[j] = vectorised support at lambda_j. A VAR selection
     // bootstrap is p column paths; the convergence record for lambda_j
@@ -653,6 +675,7 @@ pub(crate) fn var_estimation_resample(
 /// vectors, solve every candidate per-column support by sub-Gram
 /// extraction, score on the out-of-bag rows, and return the winner in
 /// vectorised coordinates.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn var_estimation_score(
     ctx: &VarEstimationCtx,
     prob: &VarProblem,
@@ -836,7 +859,9 @@ pub(crate) fn fit_inner(series: &Matrix, cfg: &UoiVarConfig) -> Result<UoiVarFit
     // and p weighted rhs vectors replace the gather. Bootstraps are first
     // triaged (fault plan, checkpoint, budget), then every surviving Gram
     // is built in ONE pass over the regression block by the batched
-    // engine, and only the solves fan out.
+    // engine. The bootstraps then run one after another, each fanning its
+    // p column paths out over `admm.threads` workers: one bootstrap's
+    // column solutions are live at a time.
     let selection_results: Vec<Option<Vec<Vec<usize>>>> =
         crate::uoi_lasso::traced(&base.telemetry, "uoi_var.selection", || {
             let mut slots: Vec<Option<Vec<Vec<usize>>>> = (0..base.b1).map(|_| None).collect();
@@ -863,24 +888,15 @@ pub(crate) fn fit_inner(series: &Matrix, cfg: &UoiVarConfig) -> Result<UoiVarFit
                 .map(|&k| var_selection_weights(&prob, base, k))
                 .collect();
             let wopts: Vec<Option<&[f64]>> = weights.iter().map(|w| Some(w.as_slice())).collect();
-            let grams = uoi_linalg::gram_batch(&prob.reg.x, &wopts);
-            let work: Vec<_> = to_compute
-                .into_iter()
-                .zip(weights.into_iter().zip(grams))
-                .collect();
-            let solved = work
-                .into_par_iter()
-                .map(|(k, (w, gram))| {
-                    let supports =
-                        var_selection_solve_checked(&prob, base, p, gram.into_upper(), &w, k);
-                    if let (Some(st), Some(sup)) = (&store, &supports) {
-                        st.save_supports("var_sel", k, sup)?;
-                    }
-                    computed.fetch_add(1, Ordering::SeqCst);
-                    Ok((k, supports))
-                })
-                .collect::<Result<Vec<_>, UoiError>>()?;
-            for (k, supports) in solved {
+            let workers = base.admm.threads;
+            let grams = uoi_linalg::gram_batch_par(&prob.reg.x, &wopts, workers);
+            for (k, (w, gram)) in to_compute.into_iter().zip(weights.into_iter().zip(grams)) {
+                let supports =
+                    var_selection_solve_checked(&prob, base, p, gram.into_upper(), &w, k, workers);
+                if let (Some(st), Some(sup)) = (&store, &supports) {
+                    st.save_supports("var_sel", k, sup)?;
+                }
+                computed.fetch_add(1, Ordering::SeqCst);
                 slots[k] = supports;
             }
             Ok::<_, UoiError>(slots)
@@ -959,14 +975,15 @@ pub(crate) fn fit_inner(series: &Matrix, cfg: &UoiVarConfig) -> Result<UoiVarFit
                 .iter()
                 .map(|(w, _, _)| Some(w.as_slice()))
                 .collect();
-            let grams = uoi_linalg::gram_batch(&est_ctx.xu, &wopts);
+            let grams = uoi_linalg::gram_batch_par(&est_ctx.xu, &wopts, base.admm.threads);
             let work: Vec<_> = to_compute
                 .into_iter()
                 .zip(resamples.into_iter().zip(grams))
                 .collect();
-            let solved = work
-                .into_par_iter()
-                .map(|(k, ((w, eval_rows, n_train), gram))| {
+            let solved = crate::uoi_lasso::fan_out_tasks(
+                base,
+                work,
+                |base, (k, ((w, eval_rows, n_train), gram))| {
                     let gram_u = gram.into_upper();
                     let yrefs: Vec<&[f64]> = est_ctx.ys.iter().map(|v| v.as_slice()).collect();
                     let xty_u = gemv_t_weighted_multi(&est_ctx.xu, &w, &yrefs);
@@ -979,8 +996,10 @@ pub(crate) fn fit_inner(series: &Matrix, cfg: &UoiVarConfig) -> Result<UoiVarFit
                     }
                     computed.fetch_add(1, Ordering::SeqCst);
                     Ok((k, full))
-                })
-                .collect::<Result<Vec<_>, UoiError>>()?;
+                },
+            )
+            .into_iter()
+            .collect::<Result<Vec<_>, UoiError>>()?;
             for (k, full) in solved {
                 slots[k] = Some(full);
             }

@@ -388,7 +388,7 @@ fn var_guarded_clean_identity_and_nan_recovery() {
     assert_eq!(bits(&plain.vec_beta), bits(&guarded.vec_beta));
     assert!(guarded.numerical.unwrap().is_clean());
 
-    let mut corrupt = series.clone();
+    let mut corrupt = series;
     corrupt[(5, 1)] = f64::NAN;
     corrupt[(100, 3)] = f64::INFINITY;
     let fit = try_fit_uoi_var(&corrupt, &gcfg).expect("scrubbed series fits");

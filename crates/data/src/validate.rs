@@ -386,7 +386,7 @@ mod tests {
     #[test]
     fn constant_and_duplicate_columns_flagged_not_rejected() {
         let mut x = design(10, 5);
-        x.set_col(1, &vec![3.5; 10]);
+        x.set_col(1, &[3.5; 10]);
         let c = x.col(0);
         x.set_col(4, &c);
         let mut y = vec![0.0; 10];

@@ -1,5 +1,10 @@
 //! BLAS-style dense kernels: dot/axpy (level 1), gemv (level 2), and a
-//! cache-blocked, rayon-parallel gemm / syrk (level 3).
+//! cache-blocked gemm / syrk (level 3).
+//!
+//! Every kernel here runs on the calling thread, and every reduction runs
+//! in an order fixed by the operand shapes alone, so results do not depend
+//! on the host. In-rank threading happens one level up, at task grain
+//! ([`crate::par`]), where a fork pays for itself.
 //!
 //! The reference implementation leaned on Intel MKL for these; here we write
 //! straightforward blocked kernels. They are not MKL-fast, but they expose
@@ -8,10 +13,6 @@
 //! measures.
 
 use crate::dense::Matrix;
-use rayon::prelude::*;
-
-/// Minimum total flop count before a kernel bothers spawning rayon tasks.
-const PAR_FLOP_THRESHOLD: usize = 1 << 18;
 
 /// Micro-kernel block edge for gemm (tuned for ~32 KiB L1 working sets).
 const MC: usize = 64;
@@ -149,68 +150,34 @@ pub fn vadd(a: &[f64], b: &[f64]) -> Vec<f64> {
 
 /// Matrix-vector product `A * x`.
 ///
-/// Row-major layout makes this a sequence of dot products; rows are
-/// processed in parallel above the flop threshold.
+/// Row-major layout makes this a sequence of dot products.
 pub fn gemv(a: &Matrix, x: &[f64]) -> Vec<f64> {
     assert_eq!(a.cols(), x.len(), "gemv: dimension mismatch");
-    let flops = a.rows() * a.cols() * 2;
-    if flops >= PAR_FLOP_THRESHOLD {
-        (0..a.rows())
-            .into_par_iter()
-            .map(|i| dot(a.row(i), x))
-            .collect()
-    } else {
-        (0..a.rows()).map(|i| dot(a.row(i), x)).collect()
-    }
+    (0..a.rows()).map(|i| dot(a.row(i), x)).collect()
 }
 
 /// Transposed matrix-vector product `A^T * x` without materialising `A^T`.
+///
+/// One sequential accumulation over the rows in ascending order: the
+/// bits depend on the shape alone, never on the host's core count.
 pub fn gemv_t(a: &Matrix, x: &[f64]) -> Vec<f64> {
     assert_eq!(a.rows(), x.len(), "gemv_t: dimension mismatch");
-    let cols = a.cols();
-    let flops = a.rows() * cols * 2;
-    if flops >= PAR_FLOP_THRESHOLD && cols >= 64 {
-        // Parallelise over row blocks and reduce partial column sums.
-        let nblocks = rayon::current_num_threads().max(1);
-        let block = a.rows().div_ceil(nblocks);
-        (0..a.rows())
-            .into_par_iter()
-            .step_by(block.max(1))
-            .map(|start| {
-                let end = (start + block).min(a.rows());
-                let mut acc = vec![0.0; cols];
-                for i in start..end {
-                    axpy(x[i], a.row(i), &mut acc);
-                }
-                acc
-            })
-            .reduce(
-                || vec![0.0; cols],
-                |mut a, b| {
-                    for (ai, bi) in a.iter_mut().zip(&b) {
-                        *ai += bi;
-                    }
-                    a
-                },
-            )
-    } else {
-        let mut y = vec![0.0; cols];
-        for i in 0..a.rows() {
-            axpy(x[i], a.row(i), &mut y);
-        }
-        y
-    }
+    let mut y = Vec::new();
+    gemv_t_into(a, x, &mut y);
+    y
 }
 
 /// General matrix-matrix product `A * B`.
 ///
-/// Cache-blocked (`MC x KC` panels) with rayon parallelism over row panels.
+/// Cache-blocked (`MC x KC` panels) over row panels.
 pub fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "gemm: inner dimension mismatch");
     let (m, k) = a.shape();
     let n = b.cols();
     let mut c = Matrix::zeros(m, n);
-    let flops = 2 * m * n * k;
+    if n == 0 {
+        return c;
+    }
 
     let body = |i_panel: usize, c_panel: &mut [f64]| {
         let i_end = (i_panel + MC).min(m);
@@ -229,21 +196,8 @@ pub fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
         }
     };
 
-    if flops >= PAR_FLOP_THRESHOLD {
-        let n_cols = n;
-        c.as_mut_slice()
-            .par_chunks_mut(MC * n_cols)
-            .enumerate()
-            .for_each(|(pi, chunk)| body(pi * MC, chunk));
-    } else {
-        for i_panel in (0..m).step_by(MC) {
-            let i_end = (i_panel + MC).min(m);
-            // Safe split: operate on the owned rows of this panel.
-            let range = i_panel * n..i_end * n;
-            let mut panel = vec![0.0; range.len()];
-            body(i_panel, &mut panel);
-            c.as_mut_slice()[range].copy_from_slice(&panel);
-        }
+    for (pi, panel) in c.as_mut_slice().chunks_mut(MC * n).enumerate() {
+        body(pi * MC, panel);
     }
     c
 }
@@ -267,19 +221,11 @@ pub fn gemv_into(a: &Matrix, x: &[f64], out: &mut Vec<f64>) {
     assert_eq!(a.cols(), x.len(), "gemv_into: dimension mismatch");
     out.clear();
     out.reserve(a.rows());
-    let flops = a.rows() * a.cols() * 2;
-    if flops >= PAR_FLOP_THRESHOLD {
-        (0..a.rows())
-            .into_par_iter()
-            .map(|i| dot(a.row(i), x))
-            .collect_into_vec(out);
-    } else {
-        out.extend((0..a.rows()).map(|i| dot(a.row(i), x)));
-    }
+    out.extend((0..a.rows()).map(|i| dot(a.row(i), x)));
 }
 
 /// Transposed matrix-vector product `A^T * x` written into a caller-owned
-/// buffer. Serial accumulation (bit-identical to the serial [`gemv_t`] path).
+/// buffer (bit-identical to [`gemv_t`]).
 pub fn gemv_t_into(a: &Matrix, x: &[f64], out: &mut Vec<f64>) {
     assert_eq!(a.rows(), x.len(), "gemv_t_into: dimension mismatch");
     out.clear();
@@ -306,49 +252,19 @@ pub fn syrk_t_weighted(a: &Matrix, w: &[f64]) -> Matrix {
 /// Weighted transposed matrix-vector product `A^T diag(w) x = Σ_i w_i x_i a_i`.
 ///
 /// With bootstrap multiplicities `w` this equals `X_b^T y_b` of the
-/// materialised resample without copying rows. The parallel path combines
-/// block partials in ascending block order, so results are deterministic for
-/// a fixed thread count.
+/// materialised resample without copying rows. One sequential accumulation
+/// over the rows in ascending order, so the bits depend on the shape alone.
 pub fn gemv_t_weighted(a: &Matrix, w: &[f64], x: &[f64]) -> Vec<f64> {
     assert_eq!(a.rows(), w.len(), "gemv_t_weighted: weight length mismatch");
     assert_eq!(a.rows(), x.len(), "gemv_t_weighted: dimension mismatch");
-    let cols = a.cols();
-    let flops = a.rows() * cols * 3;
-    if flops >= PAR_FLOP_THRESHOLD && cols >= 64 {
-        let nblocks = rayon::current_num_threads().max(1);
-        let block = a.rows().div_ceil(nblocks).max(1);
-        let starts: Vec<usize> = (0..a.rows()).step_by(block).collect();
-        let partials: Vec<Vec<f64>> = starts
-            .into_par_iter()
-            .map(|start| {
-                let end = (start + block).min(a.rows());
-                let mut acc = vec![0.0; cols];
-                for i in start..end {
-                    let c = w[i] * x[i];
-                    if c != 0.0 {
-                        axpy(c, a.row(i), &mut acc);
-                    }
-                }
-                acc
-            })
-            .collect();
-        let mut y = vec![0.0; cols];
-        for acc in partials {
-            for (yi, ai) in y.iter_mut().zip(&acc) {
-                *yi += ai;
-            }
+    let mut y = vec![0.0; a.cols()];
+    for i in 0..a.rows() {
+        let c = w[i] * x[i];
+        if c != 0.0 {
+            axpy(c, a.row(i), &mut y);
         }
-        y
-    } else {
-        let mut y = vec![0.0; cols];
-        for i in 0..a.rows() {
-            let c = w[i] * x[i];
-            if c != 0.0 {
-                axpy(c, a.row(i), &mut y);
-            }
-        }
-        y
     }
+    y
 }
 
 /// Weighted sum of squares `Σ_i w_i x_i²` (the `y^T y` term of a weighted
@@ -511,6 +427,34 @@ mod tests {
         for (g, e) in got.iter().zip(&expected) {
             assert!((g - e).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn transposed_products_are_one_row_loop_at_the_fig2_shape() {
+        // 4096 x 512 is far above the old row-block split threshold; the
+        // bits must equal the plain ascending row loop on every host.
+        let (n, p) = (4096, 512);
+        let a = Matrix::from_fn(n, p, |i, j| (((i * 131 + j * 71) % 97) as f64 - 48.0) / 7.0);
+        let x: Vec<f64> = (0..n)
+            .map(|i| ((i * 37 % 23) as f64 - 11.0) * 0.13)
+            .collect();
+        let w: Vec<f64> = (0..n).map(|i| ((i * 7) % 4) as f64).collect();
+        let mut plain = vec![0.0; p];
+        let mut plain_w = vec![0.0; p];
+        for i in 0..n {
+            for j in 0..p {
+                plain[j] += x[i] * a[(i, j)];
+            }
+            let c = w[i] * x[i];
+            if c != 0.0 {
+                for j in 0..p {
+                    plain_w[j] += c * a[(i, j)];
+                }
+            }
+        }
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&gemv_t(&a, &x)), bits(&plain));
+        assert_eq!(bits(&gemv_t_weighted(&a, &w, &x)), bits(&plain_w));
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! reference C++ used from Eigen3.
 
 use crate::dense::Matrix;
-use rayon::prelude::*;
 
 /// Order below which the unblocked factorisation is used directly.
 const CHOL_BLOCK_THRESHOLD: usize = 128;
@@ -46,9 +45,9 @@ impl Cholesky {
     ///
     /// Only the lower triangle of `a` is read. Small orders use the classic
     /// unblocked algorithm; larger ones switch to a blocked right-looking
-    /// factorisation (panel factor + rayon-parallel trailing update) that
-    /// keeps the working set cache-resident and parallelises the O(n³)
-    /// syrk/gemm bulk of the work.
+    /// factorisation (panel factor + trailing update) that keeps the
+    /// working set cache-resident through the O(n³) syrk/gemm bulk of the
+    /// work.
     pub fn factor(a: &Matrix) -> Result<Self, NotPositiveDefinite> {
         let n = a.rows();
         assert_eq!(n, a.cols(), "Cholesky: matrix must be square");
@@ -121,7 +120,7 @@ impl Cholesky {
 
     /// Blocked right-looking variant: factor an NB-wide diagonal panel,
     /// triangular-solve the column panel below it, then apply the rank-NB
-    /// trailing update with rows distributed across rayon workers.
+    /// trailing update row by row.
     fn factor_blocked(mut l: Matrix) -> Result<Self, NotPositiveDefinite> {
         let n = l.rows();
         let mut panel = Vec::new();
@@ -168,8 +167,8 @@ impl Cholesky {
                 break;
             }
             // 3. Trailing update A22 -= L21 L21^T. The panel is copied out so
-            //    the row-parallel update borrows it immutably while each
-            //    worker owns a disjoint row of the trailing block.
+            //    the update borrows it immutably while writing the rows of
+            //    the trailing block.
             let trailing = n - k_end;
             panel.clear();
             panel.reserve(trailing * kb);
@@ -178,7 +177,7 @@ impl Cholesky {
             }
             let ncols = n;
             l.as_mut_slice()[k_end * ncols..]
-                .par_chunks_mut(ncols)
+                .chunks_mut(ncols)
                 .enumerate()
                 .for_each(|(off, row)| {
                     let i = k_end + off;

@@ -30,14 +30,18 @@
 //! a fresh register tile per `(panel, tile)` that is added to the output
 //! block before the next panel. The floating-point bracketing of every
 //! element is therefore a function of the matrix shape alone: it does not
-//! depend on the rayon thread count, on which other resamples share the
-//! batch, or on whether the serial fallback ran. `batch([w])` is
-//! bit-identical to the same `w` inside a larger batch.
+//! depend on the worker count of the fork-join ([`crate::par`]), on which
+//! other resamples share the batch, or on whether the serial fallback
+//! ran. `batch([w])` is bit-identical to the same `w` inside a larger
+//! batch.
+//!
+//! The public wrappers ([`gram_batch`], [`gram_rhs_batch`],
+//! [`syrk_t_upper`], ...) run the bands on the calling thread; only
+//! [`gram_batch_par`] and [`gram_rhs_batch_par`] take a worker count.
 
 use crate::dense::Matrix;
 use crate::kernels;
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Height (in rows of `X`) of one packed panel.
 ///
@@ -63,15 +67,19 @@ pub fn gram_kernel_ws(p: usize) -> f64 {
     (GRAM_PANEL_ROWS * p * 8) as f64
 }
 
-static PACKS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static PACKS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Number of panel-pack operations performed since process start.
+/// Number of panel-pack operations performed on the calling thread
+/// since it started.
 ///
 /// Test hook for the batch amortization contract: a batch of `B`
 /// resamples packs each `(band, panel)` exactly once, so the count is
-/// independent of `B`.
+/// independent of `B`. Per thread, so concurrent tests do not disturb
+/// each other's windows; the single-threaded wrappers pack on the caller.
 pub fn pack_count() -> u64 {
-    PACKS.load(Ordering::Relaxed)
+    PACKS.with(Cell::get)
 }
 
 /// A Gram matrix with only its upper triangle populated (strict lower is
@@ -155,7 +163,7 @@ fn band_body(a: &Matrix, weights: &[WeightOpt<'_>], y: Option<&[f64]>, task: &mu
         for r in 0..rows {
             packed[r * stride..(r + 1) * stride].copy_from_slice(&a.row(i0 + r)[j0..]);
         }
-        PACKS.fetch_add(1, Ordering::Relaxed);
+        PACKS.with(|c| c.set(c.get() + 1));
         for (k, w) in weights.iter().enumerate() {
             nz[k].clear();
             match w {
@@ -271,12 +279,14 @@ fn tile_sweep(
 
 /// Core batch driver: one pass over `X` for all resamples, returning the
 /// upper-stored Grams and (when `y` is given) the paired rhs vectors.
+/// Bands fan out over `workers` threads of [`crate::par::map`].
 fn batch_core(
     a: &Matrix,
     weights: &[WeightOpt<'_>],
     y: Option<&[f64]>,
+    workers: usize,
 ) -> (Vec<UpperGram>, Vec<Vec<f64>>) {
-    batch_core_scheduled(a, weights, y, None)
+    batch_core_scheduled(a, weights, y, workers, None)
 }
 
 /// Like [`batch_core`], but with an optional explicit band execution
@@ -287,6 +297,7 @@ fn batch_core_scheduled(
     a: &Matrix,
     weights: &[WeightOpt<'_>],
     y: Option<&[f64]>,
+    workers: usize,
     order: Option<&[usize]>,
 ) -> (Vec<UpperGram>, Vec<Vec<f64>>) {
     let (n, p) = a.shape();
@@ -333,10 +344,8 @@ fn batch_core_scheduled(
             for &ti in order {
                 band_body(a, weights, y, &mut tasks[ti]);
             }
-        } else if flops >= 1 << 18 && tasks.len() > 1 {
-            tasks
-                .par_iter_mut()
-                .for_each(|t| band_body(a, weights, y, t));
+        } else if flops >= 1 << 18 && workers > 1 {
+            crate::par::map(workers, tasks, |mut t| band_body(a, weights, y, &mut t));
         } else {
             for t in tasks.iter_mut() {
                 band_body(a, weights, y, t);
@@ -354,14 +363,31 @@ fn batch_core_scheduled(
 /// Compute `X^T diag(w_b) X` for every resample in one pass over `X`.
 /// `None` weights mean the unweighted Gram `X^T X`.
 pub fn gram_batch(a: &Matrix, weights: &[WeightOpt<'_>]) -> Vec<UpperGram> {
-    batch_core(a, weights, None).0
+    gram_batch_par(a, weights, 1)
+}
+
+/// [`gram_batch`] with the bands fanned out over `workers` threads.
+/// Bit-identical to [`gram_batch`] for every worker count.
+pub fn gram_batch_par(a: &Matrix, weights: &[WeightOpt<'_>], workers: usize) -> Vec<UpperGram> {
+    batch_core(a, weights, None, workers).0
 }
 
 /// Compute `(X^T diag(w_b) X, X^T diag(w_b) y)` for every resample in one
 /// pass over `X`.
 pub fn gram_rhs_batch(a: &Matrix, y: &[f64], weights: &[&[f64]]) -> Vec<(UpperGram, Vec<f64>)> {
+    gram_rhs_batch_par(a, y, weights, 1)
+}
+
+/// [`gram_rhs_batch`] with the bands fanned out over `workers` threads.
+/// Bit-identical to [`gram_rhs_batch`] for every worker count.
+pub fn gram_rhs_batch_par(
+    a: &Matrix,
+    y: &[f64],
+    weights: &[&[f64]],
+    workers: usize,
+) -> Vec<(UpperGram, Vec<f64>)> {
     let opts: Vec<WeightOpt<'_>> = weights.iter().map(|w| Some(*w)).collect();
-    let (grams, rhs) = batch_core(a, &opts, Some(y));
+    let (grams, rhs) = batch_core(a, &opts, Some(y), workers);
     grams.into_iter().zip(rhs).collect()
 }
 
@@ -563,7 +589,7 @@ mod tests {
         let y: Vec<f64> = (0..300).map(|i| (i as f64 * 0.07).sin()).collect();
         let n_bands = 160usize.div_ceil(GRAM_BAND);
         assert!(n_bands >= 3, "test shape must span several bands");
-        let reference = batch_core_scheduled(&a, &opts, Some(&y), None);
+        let reference = batch_core_scheduled(&a, &opts, Some(&y), 1, None);
         let want: Vec<(Vec<f64>, Vec<f64>)> = reference
             .0
             .into_iter()
@@ -578,7 +604,7 @@ mod tests {
             for t in 0..threads {
                 order.extend((t..n_bands).step_by(threads));
             }
-            let got = batch_core_scheduled(&a, &opts, Some(&y), Some(&order));
+            let got = batch_core_scheduled(&a, &opts, Some(&y), 1, Some(&order));
             let got: Vec<(Vec<f64>, Vec<f64>)> = got
                 .0
                 .into_iter()
@@ -586,6 +612,15 @@ mod tests {
                 .map(|(g, r)| (g.into_upper().into_vec(), r))
                 .collect();
             assert_eq!(got, want, "{threads}-thread schedule diverged");
+        }
+        // Real fork-join runs, every worker count.
+        let wrefs: Vec<&[f64]> = ws.iter().map(|w| w.as_slice()).collect();
+        for workers in 1..=4 {
+            let got: Vec<(Vec<f64>, Vec<f64>)> = gram_rhs_batch_par(&a, &y, &wrefs, workers)
+                .into_iter()
+                .map(|(g, r)| (g.into_upper().into_vec(), r))
+                .collect();
+            assert_eq!(got, want, "{workers}-worker fork-join diverged");
         }
     }
 

@@ -6,8 +6,8 @@
 //!
 //! * [`dense::Matrix`] — row-major dense matrices with the bootstrap /
 //!   support gather operations the UoI maps use;
-//! * [`blas`] — dot/axpy, `gemv`/`gemv_t`, a blocked rayon-parallel `gemm`,
-//!   and `syrk_t` for Gram matrices;
+//! * [`blas`] — dot/axpy, `gemv`/`gemv_t`, a cache-blocked `gemm`, and
+//!   `syrk_t` for Gram matrices;
 //! * [`kernels`] — the explicitly lane-unrolled inner-loop kernels of the
 //!   ADMM hot path (dot, axpy, add, soft-threshold, blocked `symv`) with
 //!   one coherent naming scheme; `blas::dot`/`blas::axpy` delegate here;
@@ -18,7 +18,9 @@
 //! * [`kron::IdentityKron`] — the matrix-free `I ⊗ X` operator of eq. 9,
 //!   with its explicit CSR form and the `I ⊗ (X^T X)` Gram identity;
 //! * [`eig`] — companion-matrix spectral radius for the VAR stability
-//!   constraint of eq. 6.
+//!   constraint of eq. 6;
+//! * [`par`] — the deterministic scoped fork-join the serial pipelines
+//!   use for task-grain in-rank threading.
 
 // Numeric kernels index by position on purpose: the loops mirror the
 // textbook algorithms (Cholesky, Householder, blocked gemm) and iterator
@@ -32,6 +34,7 @@ pub mod eig;
 pub mod gram;
 pub mod kernels;
 pub mod kron;
+pub mod par;
 pub mod qr;
 pub mod resilience;
 pub mod sparse;
@@ -46,8 +49,8 @@ pub use chol::{solve_normal_equations, solve_spd, Cholesky, NotPositiveDefinite}
 pub use dense::Matrix;
 pub use eig::{companion_matrix, spectral_radius, var_is_stable};
 pub use gram::{
-    gemv_t_weighted_multi, gram_batch, gram_rhs_batch, syrk_t_upper, syrk_t_weighted_batch,
-    syrk_t_weighted_upper, UpperGram,
+    gemv_t_weighted_multi, gram_batch, gram_batch_par, gram_rhs_batch, gram_rhs_batch_par,
+    syrk_t_upper, syrk_t_weighted_batch, syrk_t_weighted_upper, UpperGram,
 };
 pub use kron::{kron_dense, IdentityKron};
 pub use qr::{qr_least_squares, Qr};

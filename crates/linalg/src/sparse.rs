@@ -8,7 +8,6 @@
 //! block-diagonal constructor used by the explicit Kronecker build.
 
 use crate::dense::Matrix;
-use rayon::prelude::*;
 
 /// A CSR (compressed sparse row) matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -206,22 +205,12 @@ impl CsrMatrix {
     /// Sparse matrix-vector product `A * x`.
     pub fn spmv(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "spmv: dimension mismatch");
-        if self.nnz() >= 1 << 16 {
-            (0..self.rows)
-                .into_par_iter()
-                .map(|i| {
-                    let (cs, vs) = self.row_entries(i);
-                    cs.iter().zip(vs).map(|(&c, &v)| v * x[c]).sum()
-                })
-                .collect()
-        } else {
-            (0..self.rows)
-                .map(|i| {
-                    let (cs, vs) = self.row_entries(i);
-                    cs.iter().zip(vs).map(|(&c, &v)| v * x[c]).sum()
-                })
-                .collect()
-        }
+        (0..self.rows)
+            .map(|i| {
+                let (cs, vs) = self.row_entries(i);
+                cs.iter().zip(vs).map(|(&c, &v)| v * x[c]).sum()
+            })
+            .collect()
     }
 
     /// Transposed sparse matrix-vector product `A^T * x`.

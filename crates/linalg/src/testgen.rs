@@ -217,7 +217,7 @@ mod tests {
         let x = random_design(1, 15, 5);
         let bad = inject_non_finite(1, &x, 4);
         let n_bad = bad.as_slice().iter().filter(|v| !v.is_finite()).count();
-        assert!(n_bad >= 1 && n_bad <= 4); // collisions possible
+        assert!((1..=4).contains(&n_bad)); // collisions possible
         assert!(x.as_slice().iter().all(|v| v.is_finite()));
     }
 }

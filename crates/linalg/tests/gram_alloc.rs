@@ -52,7 +52,7 @@ fn batch_path_packs_once_and_allocates_per_output_only() {
     let one: Vec<&[f64]> = vec![ws[0].as_slice()];
     let eight: Vec<&[f64]> = ws.iter().map(|w| w.as_slice()).collect();
 
-    // Warm-up outside the measured windows (lazy statics, rayon shim).
+    // Warm-up outside the measured windows (lazy statics, thread-locals).
     let _ = syrk_t_weighted_batch(&a, &one);
 
     let packs0 = gram::pack_count();

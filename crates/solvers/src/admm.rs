@@ -75,12 +75,17 @@ pub struct AdmmConfig {
     pub abstol: f64,
     /// Relative tolerance.
     pub reltol: f64,
-    /// In-rank worker count assumed by the lockstep/fused paths: modeled
-    /// time is charged as `ceil(active / threads)` fused iterations per
-    /// round, and real-parallel stages split their columns this many ways.
-    /// `1` (the default) reproduces the historical per-column charging
-    /// exactly. Numerical results never depend on this value — per-column
-    /// arithmetic and reduction order are fixed regardless of `threads`.
+    /// In-rank worker count. The serial UoI pipelines fan their
+    /// independent tasks (Gram bands, selection bootstraps, estimation
+    /// resamples, VAR column paths) out over this many OS threads
+    /// (`uoi_linalg::par`); the dist and recovering executors keep one
+    /// worker per rank, and a solver's own loops always run on the
+    /// calling thread. The modeled clock charges a lockstep round as
+    /// `ceil(active / threads)` fused iterations
+    /// ([`lockstep_round_charges`]); `1` (the default) reproduces
+    /// per-column charging exactly. Numerical results never depend on
+    /// this value: every task has one owner and results are combined in
+    /// task order.
     pub threads: usize,
     /// Lambda-path schedule; see [`PathSchedule`].
     pub schedule: PathSchedule,
@@ -141,23 +146,6 @@ impl AdmmConfig {
             return Err(InvalidConfig("threads must be >= 1".to_string()));
         }
         Ok(())
-    }
-
-    /// Worker count from the `UOI_THREADS` environment variable, falling
-    /// back to `default` when unset, unparsable, or zero.
-    pub fn env_threads(default: usize) -> usize {
-        std::env::var("UOI_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(default)
-    }
-
-    /// Apply the `UOI_THREADS` override (if set) on top of the configured
-    /// thread count.
-    pub fn with_env_threads(mut self) -> Self {
-        self.threads = Self::env_threads(self.threads);
-        self
     }
 }
 
@@ -424,9 +412,14 @@ enum DesignStore {
 }
 
 /// A LASSO-ADMM solver with cached factorisation for a fixed design.
+///
+/// `Clone` shares the design and the factorisation (two `Arc` bumps), so
+/// concurrent column paths over one factor can each carry their own
+/// metrics registry ([`LassoAdmm::with_metrics`]).
+#[derive(Clone)]
 pub struct LassoAdmm {
-    design: DesignStore,
-    factor: Factorization,
+    design: Arc<DesignStore>,
+    factor: Arc<Factorization>,
     cfg: AdmmConfig,
     /// Effective penalty: `cfg.rho` scaled by the mean Gram diagonal
     /// ([`effective_rho`]), fixed at construction alongside the factorisation.
@@ -484,8 +477,8 @@ impl LassoAdmm {
         };
         Ok((
             Self {
-                design: DesignStore::Dense(x),
-                factor,
+                design: Arc::new(DesignStore::Dense(x)),
+                factor: Arc::new(factor),
                 cfg,
                 rho,
                 metrics: None,
@@ -534,8 +527,8 @@ impl LassoAdmm {
         let jf = factor_upper_jittered(&gram, &ladder)?;
         Ok((
             Self {
-                design: DesignStore::Gram { p },
-                factor: Factorization::Primal(jf.chol),
+                design: Arc::new(DesignStore::Gram { p }),
+                factor: Arc::new(Factorization::Primal(jf.chol)),
                 cfg,
                 rho,
                 metrics: None,
@@ -553,8 +546,8 @@ impl LassoAdmm {
     /// pristine Gram and refactors with an escalated penalty.
     pub(crate) fn from_factor(p: usize, chol: Cholesky, cfg: AdmmConfig, rho: f64) -> Self {
         Self {
-            design: DesignStore::Gram { p },
-            factor: Factorization::Primal(chol),
+            design: Arc::new(DesignStore::Gram { p }),
+            factor: Arc::new(Factorization::Primal(chol)),
             cfg,
             rho,
             metrics: None,
@@ -615,7 +608,7 @@ impl LassoAdmm {
     }
 
     fn dense(&self) -> &Matrix {
-        match &self.design {
+        match &*self.design {
             DesignStore::Dense(x) => x,
             DesignStore::Gram { .. } => {
                 panic!("this solver was built from a Gram matrix and holds no design")
@@ -625,7 +618,7 @@ impl LassoAdmm {
 
     /// Number of coefficients.
     pub fn n_coefficients(&self) -> usize {
-        match &self.design {
+        match &*self.design {
             DesignStore::Dense(x) => x.cols(),
             DesignStore::Gram { p } => *p,
         }
@@ -672,7 +665,7 @@ impl LassoAdmm {
         let AdmmWorkspace {
             rhs, x_var, wn, wt, ..
         } = ws;
-        match &self.factor {
+        match &*self.factor {
             Factorization::Primal(ch) => {
                 x_var.clear();
                 x_var.extend_from_slice(rhs);
@@ -917,23 +910,6 @@ impl LassoAdmm {
         }
     }
 
-    /// Run one per-task iteration stage, splitting across rayon workers
-    /// when more than one in-rank thread is configured. Tasks touch
-    /// disjoint state and each column's arithmetic is self-contained, so
-    /// the results are bit-identical regardless of execution order (and of
-    /// `threads`).
-    fn for_each_task<F>(&self, tasks: &mut [StepTask<'_>], f: F)
-    where
-        F: Fn(&mut StepTask<'_>) + Sync,
-    {
-        if self.cfg.threads > 1 {
-            use rayon::prelude::*;
-            tasks.par_iter_mut().for_each(&f);
-        } else {
-            tasks.iter_mut().for_each(f);
-        }
-    }
-
     /// Advance every unconverged task one ADMM iteration in lockstep,
     /// fusing the round's triangular solves into a single multi-RHS
     /// substitution over the shared Cholesky factor (the factorisation is
@@ -946,7 +922,7 @@ impl LassoAdmm {
     /// schedule (and hence the constant factor) changes. See DESIGN.md §3.
     pub fn step_many(&self, tasks: &mut [StepTask<'_>]) {
         // Stage 1: rhs builds, per column.
-        self.for_each_task(tasks, |t| {
+        tasks.iter_mut().for_each(|t| {
             if t.state.converged {
                 return;
             }
@@ -956,9 +932,9 @@ impl LassoAdmm {
         });
 
         // Stage 2: fused x-update across the active columns.
-        match &self.factor {
+        match &*self.factor {
             Factorization::Primal(ch) => {
-                self.for_each_task(tasks, |t| {
+                tasks.iter_mut().for_each(|t| {
                     if t.state.converged {
                         return;
                     }
@@ -974,7 +950,7 @@ impl LassoAdmm {
                 ch.solve_multi_in_place(&mut cols);
             }
             Factorization::Woodbury(ch) => {
-                self.for_each_task(tasks, |t| {
+                tasks.iter_mut().for_each(|t| {
                     if t.state.converged {
                         return;
                     }
@@ -988,7 +964,7 @@ impl LassoAdmm {
                     .collect();
                 ch.solve_multi_in_place(&mut cols);
                 let rho = self.rho;
-                self.for_each_task(tasks, |t| {
+                tasks.iter_mut().for_each(|t| {
                     if t.state.converged {
                         return;
                     }
@@ -1003,7 +979,7 @@ impl LassoAdmm {
         }
 
         // Stage 3: z-/u-updates, residuals, convergence — per column.
-        self.for_each_task(tasks, |t| {
+        tasks.iter_mut().for_each(|t| {
             if t.state.converged {
                 return;
             }
@@ -1868,18 +1844,6 @@ mod tests {
             .unwrap();
         assert_eq!(cfg.threads, 4);
         assert_eq!(cfg.schedule, PathSchedule::Fused);
-        // Unset/garbage UOI_THREADS falls back to the default.
-        assert_eq!(AdmmConfig::env_threads(3), {
-            match std::env::var("UOI_THREADS") {
-                Ok(v) => v
-                    .trim()
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or(3),
-                Err(_) => 3,
-            }
-        });
     }
 
     fn assert_solutions_bit_identical(a: &[AdmmSolution], b: &[AdmmSolution]) {

@@ -558,24 +558,12 @@ impl DistLassoAdmm {
             })
             .collect();
 
-        // Per-column local stage, split across rayon workers when more
-        // than one in-rank thread is configured. Columns are disjoint and
-        // each column's arithmetic is self-contained, so results do not
-        // depend on execution order (or on `threads`).
-        let for_each_active = |cols: &mut [Col], f: &(dyn Fn(&mut Col) + Sync)| {
-            if threads > 1 {
-                use rayon::prelude::*;
-                cols.par_iter_mut().for_each(|c| {
-                    if !c.converged {
-                        f(c);
-                    }
-                });
-            } else {
-                for c in cols.iter_mut() {
-                    if !c.converged {
-                        f(c);
-                    }
-                }
+        // Per-column local stage over the still-active columns. Each rank
+        // is already a thread, so the columns run on it one after another;
+        // `threads` only sets the modeled charge below.
+        let for_each_active = |cols: &mut [Col], f: &dyn Fn(&mut Col)| {
+            for c in cols.iter_mut().filter(|c| !c.converged) {
+                f(c);
             }
         };
 

@@ -256,10 +256,7 @@ impl ResilientLasso {
     /// Attach a metrics registry to the wrapped solver (chainable).
     /// Restart solvers are cold re-solves outside the warm-start
     /// accounting, so they deliberately stay unregistered.
-    pub fn with_metrics(
-        mut self,
-        metrics: std::sync::Arc<uoi_telemetry::MetricsRegistry>,
-    ) -> Self {
+    pub fn with_metrics(mut self, metrics: std::sync::Arc<uoi_telemetry::MetricsRegistry>) -> Self {
         self.inner = self.inner.with_metrics(metrics);
         self
     }
@@ -331,7 +328,8 @@ impl ResilientLasso {
             let mut z = vec![0.0; p];
             let mut u = vec![0.0; p];
             let mut ws = solver.workspace();
-            let (st, tripped) = solver.solve_warm_with_guard(xty, lambda, &mut z, &mut u, &mut ws, cap);
+            let (st, tripped) =
+                solver.solve_warm_with_guard(xty, lambda, &mut z, &mut u, &mut ws, cap);
             if !tripped {
                 return (
                     Some(AdmmSolution {
@@ -364,9 +362,30 @@ impl ResilientLasso {
         xty: &[f64],
         lambdas: &[f64],
     ) -> (Vec<AdmmSolution>, PathHealth) {
-        let (mut out, tripped) =
+        let (out, tripped) =
             self.inner
                 .solve_path_guarded_with_rhs(xty, lambdas, self.res.divergence_cap);
+        self.recover_path(xty, lambdas, out, tripped)
+    }
+
+    /// The divergence tripwire of the guarded path.
+    pub fn divergence_cap(&self) -> f64 {
+        self.res.divergence_cap
+    }
+
+    /// The restart half of [`Self::solve_path_with_rhs`]: given the
+    /// guarded path `out` of [`Self::inner`] (run at
+    /// [`Self::divergence_cap`]) and its `tripped` lambda indices, re-solve
+    /// those lambdas under restarted penalties. The guarded half only
+    /// reads the solver, so callers may run it for many right-hand sides
+    /// concurrently and then recover each path here, in a fixed order.
+    pub fn recover_path(
+        &mut self,
+        xty: &[f64],
+        lambdas: &[f64],
+        mut out: Vec<AdmmSolution>,
+        tripped: Vec<usize>,
+    ) -> (Vec<AdmmSolution>, PathHealth) {
         let mut health = PathHealth {
             factor_attempts: self.factor_health.attempts,
             factor_jitter: self.factor_health.jitter,

@@ -1,21 +1,35 @@
 //! Enforces the tentpole allocation contract: once the caller's buffers
 //! and [`AdmmWorkspace`] are warm, `LassoAdmm::solve_warm_with` performs
 //! zero heap allocations per solve. A counting global allocator makes the
-//! claim falsifiable rather than aspirational.
+//! claim falsifiable rather than aspirational. It counts per thread, so
+//! tests running concurrently in this binary cannot bleed allocations
+//! into each other's measured windows.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use uoi_linalg::Matrix;
 use uoi_solvers::{AdmmConfig, AdmmWorkspace, LassoAdmm, ResilienceConfig, ResilientLasso};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_allocation() {
+    // `try_with`: the allocator may run while a thread's locals are torn down.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        note_allocation();
         System.alloc(layout)
     }
 
@@ -24,7 +38,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        note_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -48,12 +62,12 @@ fn warm_then_count(solver: &LassoAdmm, xty: &[f64], p: usize) -> usize {
     let warm = solver.solve_warm_with(xty, 0.1, &mut z, &mut u, &mut ws);
     assert!(warm.iterations > 0);
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for lambda in [0.3, 0.1, 0.05, 0.01, 0.0] {
         let status = solver.solve_warm_with(xty, lambda, &mut z, &mut u, &mut ws);
         assert!(status.iterations > 0);
     }
-    ALLOCATIONS.load(Ordering::SeqCst) - before
+    allocations() - before
 }
 
 #[test]
@@ -110,13 +124,13 @@ fn clean_guarded_path_allocates_no_more_than_unguarded() {
     let _ = plain.solve_path_with_rhs(&xty, &lambdas);
     let _ = guarded.solve_path_with_rhs(&xty, &lambdas);
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let base = plain.solve_path_with_rhs(&xty, &lambdas);
-    let plain_allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let plain_allocs = allocations() - before;
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let (sols, health) = guarded.solve_path_with_rhs(&xty, &lambdas);
-    let guarded_allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let guarded_allocs = allocations() - before;
 
     assert!(health.is_clean());
     assert_eq!(base.len(), sols.len());

@@ -7,8 +7,8 @@
 //! Determinism: the report is a pure function of the *set* of
 //! convergence records (records are keyed and sorted before
 //! aggregation, and the wall-clock `t` field is ignored), so two runs
-//! of the same fit serialize to byte-identical JSON even though rayon
-//! delivers the records in a different order each time.
+//! of the same fit serialize to byte-identical JSON whatever order the
+//! records were delivered in.
 
 use crate::json::Json;
 use crate::metrics::HistogramSummary;
@@ -127,7 +127,7 @@ impl ConvergenceReport {
                 _ => None,
             })
             .collect();
-        // Records arrive in rayon/worker order; sort on the task key so
+        // Records may arrive in any task order; sort on the task key so
         // aggregation (and the serialized report) is order-independent.
         recs.sort_by(|a, b| {
             (a.stage, a.bootstrap, a.lambda_idx).cmp(&(b.stage, b.bootstrap, b.lambda_idx))

@@ -201,6 +201,48 @@ impl Telemetry {
             sink.flush();
         }
     }
+
+    /// A handle for one task of a concurrent fan-out: it records into a
+    /// private buffer with the same layers (trace, metrics) enabled as
+    /// `self`. Replaying the buffers with [`Deferred::emit_into`] in task
+    /// order after the join gives the event sequence and metrics that a
+    /// sequential run would have recorded, whatever the scheduling.
+    pub fn deferred(&self) -> (Telemetry, Deferred) {
+        let buf = Deferred {
+            events: self.sink.as_ref().map(|_| Arc::new(MemorySink::new())),
+            metrics: self
+                .metrics
+                .as_ref()
+                .map(|_| Arc::new(MetricsRegistry::new())),
+        };
+        let handle = Telemetry {
+            sink: buf.events.clone().map(|s| s as Arc<dyn TraceSink>),
+            metrics: buf.metrics.clone(),
+        };
+        (handle, buf)
+    }
+}
+
+/// The records of one task, buffered by a [`Telemetry::deferred`] handle.
+#[derive(Debug)]
+pub struct Deferred {
+    events: Option<Arc<MemorySink>>,
+    metrics: Option<Arc<MetricsRegistry>>,
+}
+
+impl Deferred {
+    /// Replay the buffered events into `tel`'s sink and merge the
+    /// buffered metrics into its registry.
+    pub fn emit_into(self, tel: &Telemetry) {
+        if let Some(events) = self.events {
+            for e in events.take() {
+                tel.record(e);
+            }
+        }
+        if let (Some(mine), Some(theirs)) = (self.metrics, &tel.metrics) {
+            theirs.merge_from(&mine);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -238,6 +280,40 @@ mod tests {
             }
         });
         assert!(!called, "payload closure must not run when disabled");
+    }
+
+    #[test]
+    fn deferred_buffers_replay_in_emit_order() {
+        let sink = Arc::new(MemorySink::new());
+        let metrics = Arc::new(MetricsRegistry::new());
+        let t = Telemetry::new(sink.clone(), metrics.clone());
+        let io = |rank| TraceEvent::Io {
+            rank,
+            seconds: 0.0,
+            t: 0.0,
+        };
+        let (h0, b0) = t.deferred();
+        let (h1, b1) = t.deferred();
+        // Task 1 records first; replay order decides the outcome.
+        h1.record(io(1));
+        h1.observe("h", 1.0);
+        h1.gauge("g", 1.0);
+        h0.record(io(0));
+        h0.observe("h", 0.0);
+        h0.gauge("g", 0.0);
+        h0.incr("c", 2);
+        h1.incr("c", 3);
+        assert!(sink.is_empty() && metrics.counter("c") == 0);
+        b0.emit_into(&t);
+        b1.emit_into(&t);
+        let ranks: Vec<_> = sink.take().iter().map(|e| e.rank()).collect();
+        assert_eq!(ranks, vec![Some(0), Some(1)]);
+        assert_eq!(metrics.samples("h"), vec![0.0, 1.0]);
+        assert_eq!(metrics.gauge_value("g"), Some(1.0));
+        assert_eq!(metrics.counter("c"), 5);
+        // A disabled parent yields a disabled task handle.
+        let (h, _) = Telemetry::disabled().deferred();
+        assert!(!h.tracing_enabled() && !h.metrics_enabled());
     }
 
     #[test]

@@ -96,6 +96,26 @@ impl MetricsRegistry {
         }
     }
 
+    /// Fold everything `other` recorded into `self`, as if it had been
+    /// recorded here: counters add, gauges take `other`'s value, and
+    /// histogram samples append in `other`'s insertion order. Merging
+    /// per-task registries in task order therefore reproduces what one
+    /// sequential run would have recorded.
+    pub fn merge_from(&self, other: &MetricsRegistry) {
+        if std::ptr::eq(self, other) {
+            return;
+        }
+        let theirs = std::mem::take(&mut *other.lock());
+        let mut g = self.lock();
+        for (name, delta) in theirs.counters {
+            *g.counters.entry(name).or_insert(0) += delta;
+        }
+        g.gauges.extend(theirs.gauges);
+        for (name, samples) in theirs.histograms {
+            g.histograms.entry(name).or_default().extend(samples);
+        }
+    }
+
     /// Forget everything (tests, or reuse across bench repetitions).
     pub fn reset(&self) {
         *self.lock() = Inner::default();
