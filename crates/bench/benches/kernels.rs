@@ -125,9 +125,21 @@ fn bench_symv(c: &mut Criterion) {
 
 fn bench_multi_rhs_solve(c: &mut Criterion) {
     // Fused multi-RHS triangular solves over one shared Cholesky factor
-    // (the multi-lambda lockstep round) vs one substitution per RHS.
+    // (a lockstep round) vs one substitution per RHS. `fused` includes the
+    // copies into and out of the lane-major panel; `panel` is the
+    // interleaved substitution alone, as the lockstep solvers call it.
+    // (128, 1) guards the single-RHS case, (128, 64) is a `var_granger`
+    // round over 8 columns x 8 lambdas (two lockstep blocks' lanes), and
+    // (512, 8) one `lasso_tall` path round.
     let mut g = c.benchmark_group("multi_rhs_solve");
-    for &(p, nrhs) in &[(64usize, 8usize), (128, 16), (256, 33)] {
+    for &(p, nrhs) in &[
+        (64usize, 8usize),
+        (128, 16),
+        (256, 33),
+        (128, 1),
+        (128, 64),
+        (512, 8),
+    ] {
         let x = matrix(2 * p, p, 11);
         let mut gram = syrk_t(&x);
         for i in 0..p {
@@ -137,6 +149,9 @@ fn bench_multi_rhs_solve(c: &mut Criterion) {
         let rhs: Vec<Vec<f64>> = (0..nrhs)
             .map(|k| (0..p).map(|i| ((i + k) as f64 * 0.19).sin()).collect())
             .collect();
+        let panel: Vec<f64> = (0..p * nrhs)
+            .map(|e| rhs[e % nrhs][e / nrhs])
+            .collect();
         g.throughput(Throughput::Elements((p * p * nrhs) as u64));
         let id = format!("{p}x{nrhs}");
         g.bench_with_input(BenchmarkId::new("fused", &id), &p, |b, _| {
@@ -145,6 +160,13 @@ fn bench_multi_rhs_solve(c: &mut Criterion) {
                 let mut cols: Vec<&mut [f64]> = work.iter_mut().map(|c| c.as_mut_slice()).collect();
                 ch.solve_multi_in_place(black_box(&mut cols));
                 work
+            })
+        });
+        g.bench_with_input(BenchmarkId::new("panel", &id), &p, |b, _| {
+            let mut work = panel.clone();
+            b.iter(|| {
+                work.copy_from_slice(&panel);
+                ch.solve_panel_in_place(black_box(&mut work), nrhs);
             })
         });
         g.bench_with_input(BenchmarkId::new("per_rhs", &id), &p, |b, _| {

@@ -189,7 +189,7 @@ impl UoiFitter {
     }
 
     /// Lambda-path schedule: warm-started [`PathSchedule::Sequential`]
-    /// or lockstep multi-RHS [`PathSchedule::Fused`].
+    /// or lockstep lane-parallel [`PathSchedule::Fused`].
     pub fn schedule(mut self, schedule: PathSchedule) -> Self {
         self.cfg.admm.schedule = schedule;
         self
@@ -270,7 +270,7 @@ impl UoiVarFitter {
     }
 
     /// In-rank worker threads. A serial fit fans its Gram bands, VAR
-    /// column paths and estimation resamples out over this many OS
+    /// column blocks and estimation resamples out over this many OS
     /// threads; never changes the numbers (see `AdmmConfig::threads`).
     pub fn threads(mut self, n: usize) -> Self {
         self.cfg.base.admm.threads = n;

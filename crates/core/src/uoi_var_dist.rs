@@ -561,6 +561,7 @@ fn dist_lasso_path(
     // Warm-start z across the path, fresh duals per lambda.
     let mut states: Vec<uoi_solvers::AdmmState> =
         my_cols.clone().map(|_| solver.init_state()).collect();
+    let mut ws = uoi_solvers::AdmmWorkspace::new();
     // `admm`-tagged span: the profiler splits its charges into
     // admm_local (compute) vs admm_consensus (allreduce) by ledger.
     let sp_admm = ctx.span_enter("admm.path");
@@ -570,6 +571,15 @@ fn dist_lasso_path(
             st.u.iter_mut().for_each(|v| *v = 0.0);
             st.iterations = 0;
         }
+        let mut tasks: Vec<uoi_solvers::StepTask<'_>> = states
+            .iter_mut()
+            .zip(rhs.iter())
+            .map(|(state, xty)| uoi_solvers::StepTask {
+                xty,
+                lambda: lam,
+                state,
+            })
+            .collect();
         let mut full = vec![0.0; total];
         let mut rounds = 0usize;
         let mut lam_converged = false;
@@ -579,37 +589,28 @@ fn dist_lasso_path(
         for _round in 0..base.admm.max_iter {
             rounds += 1;
             // One lockstep round over the owned columns: the per-column
-            // triangular solves fuse into a single multi-RHS substitution
+            // triangular solves run as one lane-parallel substitution
             // (`step_many`), and the modeled charge is `ceil(active /
             // threads)` per-column iterations — with one thread that is
             // exactly the historical one-charge-per-active-column
             // accounting, so single-thread timelines are unchanged.
-            let active = states.iter().filter(|st| !st.converged).count();
+            let active = tasks.iter().filter(|t| !t.state.converged).count();
             let mut unconverged = 0usize;
             if active > 0 {
-                let mut tasks: Vec<uoi_solvers::StepTask<'_>> = states
-                    .iter_mut()
-                    .zip(rhs.iter())
-                    .map(|(state, xty)| uoi_solvers::StepTask {
-                        xty,
-                        lambda: lam,
-                        state,
-                    })
-                    .collect();
-                solver.step_many(&mut tasks);
+                solver.step_many(&mut tasks, &mut ws);
                 for _ in 0..uoi_solvers::lockstep_round_charges(active, base.admm.threads) {
                     ctx.compute_flops(
                         admm_iter_flops(n, dp),
                         ((dp.min(n) * dp.min(n) + n * dp) * 8) as f64,
                     );
                 }
-                unconverged = states.iter().filter(|st| !st.converged).count();
+                unconverged = tasks.iter().filter(|t| !t.state.converged).count();
             }
             // Allreduce the full estimate + convergence counter — the
             // paper's per-iteration "communicate the estimates" call.
             payload.fill(0.0);
-            for (slot, i) in my_cols.clone().enumerate() {
-                payload[i * dp..(i + 1) * dp].copy_from_slice(&states[slot].z);
+            for (t, i) in tasks.iter().zip(my_cols.clone()) {
+                payload[i * dp..(i + 1) * dp].copy_from_slice(&t.state.z);
             }
             payload[total] = unconverged as f64;
             admm_comm.allreduce_sum(ctx, &mut payload);

@@ -5,6 +5,16 @@
 //! *fixed* left-hand side, so the factorisation is computed once and cached
 //! (see `uoi-solvers::admm`). This mirrors the `LLT` decomposition the
 //! reference C++ used from Eigen3.
+//!
+//! The lockstep solvers advance many ADMM problems (lambdas, and VAR
+//! response columns) over one factor, so their x-updates arrive as a panel
+//! of right-hand sides. [`Cholesky::solve_panel_in_place`] solves such a
+//! panel lane-parallel: the panel is lane-major (`panel[k * m + c]`), both
+//! substitution passes keep the right-hand-side index innermost, and each
+//! lane repeats the exact single-RHS operation sequence, so every lane is
+//! bit-identical to [`Cholesky::solve_in_place`] on that column. The
+//! factor keeps `L^T` in its otherwise-unused strict upper triangle so the
+//! back pass reads `L`'s columns as contiguous rows.
 
 use crate::dense::Matrix;
 
@@ -37,6 +47,10 @@ impl std::error::Error for NotPositiveDefinite {}
 /// Lower-triangular Cholesky factor `L` with `A = L L^T`.
 #[derive(Debug, Clone)]
 pub struct Cholesky {
+    /// `L` in the lower triangle (diagonal included) and its transpose in
+    /// the strict upper triangle: entry `(i, k)` for `k > i` holds
+    /// `L[k][i]`, so column `i` of `L` below the diagonal is a contiguous
+    /// row tail for the back-substitution pass.
     l: Matrix,
 }
 
@@ -81,16 +95,24 @@ impl Cholesky {
         Self::factor_in_place(l)
     }
 
-    /// Dispatch on order once the lower triangle has been staged in `l`.
+    /// Dispatch on order once the lower triangle has been staged in `l`,
+    /// then mirror the factor into the strict upper triangle.
     fn factor_in_place(l: Matrix) -> Result<Self, NotPositiveDefinite> {
-        if l.rows() < CHOL_BLOCK_THRESHOLD {
-            Self::factor_unblocked(l)
+        let mut l = if l.rows() < CHOL_BLOCK_THRESHOLD {
+            Self::factor_unblocked(l)?
         } else {
-            Self::factor_blocked(l)
+            Self::factor_blocked(l)?
+        };
+        let n = l.rows();
+        for i in 0..n {
+            for k in (i + 1)..n {
+                l[(i, k)] = l[(k, i)];
+            }
         }
+        Ok(Self { l })
     }
 
-    fn factor_unblocked(mut l: Matrix) -> Result<Self, NotPositiveDefinite> {
+    fn factor_unblocked(mut l: Matrix) -> Result<Matrix, NotPositiveDefinite> {
         let n = l.rows();
         for j in 0..n {
             // Diagonal entry: the original value survives at (j, j) until
@@ -115,13 +137,13 @@ impl Cholesky {
                 l[(i, j)] = s / dsqrt;
             }
         }
-        Ok(Self { l })
+        Ok(l)
     }
 
     /// Blocked right-looking variant: factor an NB-wide diagonal panel,
     /// triangular-solve the column panel below it, then apply the rank-NB
     /// trailing update row by row.
-    fn factor_blocked(mut l: Matrix) -> Result<Self, NotPositiveDefinite> {
+    fn factor_blocked(mut l: Matrix) -> Result<Matrix, NotPositiveDefinite> {
         let n = l.rows();
         let mut panel = Vec::new();
         for k in (0..n).step_by(CHOL_NB) {
@@ -189,7 +211,7 @@ impl Cholesky {
                 });
         }
         // The strict upper triangle was never written and stays zero.
-        Ok(Self { l })
+        Ok(l)
     }
 
     /// Order of the factored matrix.
@@ -197,9 +219,10 @@ impl Cholesky {
         self.l.rows()
     }
 
-    /// Borrow the lower-triangular factor.
-    pub fn factor_l(&self) -> &Matrix {
-        &self.l
+    /// The lower-triangular factor `L` (strict upper triangle zero).
+    pub fn factor_l(&self) -> Matrix {
+        let n = self.order();
+        Matrix::from_fn(n, n, |i, k| if k <= i { self.l[(i, k)] } else { 0.0 })
     }
 
     /// Solve `A x = b` via forward + back substitution.
@@ -220,19 +243,47 @@ impl Cholesky {
     /// Fused multi-RHS solve: forward + back substitution over several
     /// right-hand sides at once, sharing this factorisation.
     ///
-    /// Each `L` row (forward pass) and `L` column (back pass) is loaded
-    /// once and applied to every column before moving on — the factor is
-    /// streamed through cache once per pass instead of once per RHS. The
-    /// per-column arithmetic order is exactly that of
-    /// [`Cholesky::solve_in_place`], so every column's result is
-    /// bit-identical to solving it alone.
+    /// The columns are copied into one lane-major panel
+    /// (`panel[k * m + c]`), solved by [`Cholesky::solve_panel_in_place`],
+    /// and copied back. Every column's result is bit-identical to solving
+    /// it alone with [`Cholesky::solve_in_place`]. Allocates the panel;
+    /// callers that solve every iteration keep their own panel and call
+    /// [`Cholesky::solve_panel_in_place`] directly.
     pub fn solve_multi_in_place(&self, cols: &mut [&mut [f64]]) {
         let n = self.order();
-        for b in cols.iter() {
+        let m = cols.len();
+        let mut panel = vec![0.0; n * m];
+        for (c, b) in cols.iter().enumerate() {
             assert_eq!(b.len(), n, "Cholesky::solve_multi: rhs length mismatch");
+            store_lane(&mut panel, m, c, b);
         }
-        forward_substitute_multi(&self.l, cols);
-        back_substitute_transposed_multi(&self.l, cols);
+        self.solve_panel_in_place(&mut panel, m);
+        for (c, b) in cols.iter_mut().enumerate() {
+            for (v, x) in b.iter_mut().zip(lane(&panel, m, c)) {
+                *v = x;
+            }
+        }
+    }
+
+    /// Solve `A X = B` in place for `m` right-hand sides stored lane-major:
+    /// entry `k` of right-hand side `c` lives at `panel[k * m + c]`.
+    ///
+    /// Both substitution passes keep the right-hand-side index innermost,
+    /// in register groups of [`SOLVE_LANES`] lanes plus a narrower
+    /// remainder, so each `L` entry is loaded once per group and the
+    /// group's lanes form independent dependency chains the compiler
+    /// vectorises. Each lane performs exactly the operation sequence of
+    /// [`Cholesky::solve_in_place`] (no fused multiply-add, no
+    /// reassociation), so every lane's result is bit-identical to a
+    /// single-RHS solve of that column.
+    pub fn solve_panel_in_place(&self, panel: &mut [f64], m: usize) {
+        let n = self.order();
+        assert_eq!(panel.len(), n * m, "Cholesky::solve_panel: panel shape mismatch");
+        if m == 0 {
+            return;
+        }
+        forward_substitute_lanes(&self.l, panel, m);
+        back_substitute_transposed_lanes(&self.l, panel, m);
     }
 
     /// Solve `A X = B` column by column.
@@ -279,37 +330,89 @@ pub fn back_substitute_transposed(l: &Matrix, b: &mut [f64]) {
     }
 }
 
-/// Multi-RHS [`forward_substitute`]: row loop outside, RHS loop inside, so
-/// each `L` row is read once for all columns. Per-column arithmetic order
-/// (and therefore every result bit) matches the single-RHS version.
-pub fn forward_substitute_multi(l: &Matrix, cols: &mut [&mut [f64]]) {
-    let n = l.rows();
-    for i in 0..n {
-        let row = l.row(i);
-        let d = row[i];
-        for b in cols.iter_mut() {
-            let mut s = b[i];
-            for k in 0..i {
-                s -= row[k] * b[k];
-            }
-            b[i] = s / d;
-        }
+/// Write `col` into lane `c` of a lane-major panel of `m` lanes
+/// (`panel[k * m + c] = col[k]`).
+pub fn store_lane(panel: &mut [f64], m: usize, c: usize, col: &[f64]) {
+    for (slot, v) in panel[c..].iter_mut().step_by(m).zip(col) {
+        *slot = *v;
     }
 }
 
-/// Multi-RHS [`back_substitute_transposed`]; same sharing and bit-identity
-/// argument as [`forward_substitute_multi`].
-pub fn back_substitute_transposed_multi(l: &Matrix, cols: &mut [&mut [f64]]) {
-    let n = l.rows();
-    for i in (0..n).rev() {
-        let d = l[(i, i)];
-        for b in cols.iter_mut() {
-            let mut s = b[i];
-            for k in (i + 1)..n {
-                s -= l[(k, i)] * b[k];
-            }
-            b[i] = s / d;
+/// Lane `c` of a lane-major panel of `m` lanes, entry by entry.
+pub fn lane(panel: &[f64], m: usize, c: usize) -> impl Iterator<Item = f64> + '_ {
+    panel[c..].iter().step_by(m).copied()
+}
+
+/// Right-hand sides per register group of
+/// [`Cholesky::solve_panel_in_place`]: eight independent accumulation
+/// chains per `L` entry loaded. The remainder of a panel runs as one group
+/// each of four, two and one lanes, as far as it needs them.
+pub const SOLVE_LANES: usize = 8;
+
+/// One substitution step for lanes `c0..c0 + W` of a lane-major panel:
+/// `s = b[c]; s -= coef[k] * rows[k][c]` for each `k` in order, then
+/// `b[c] = s / d`. This is the single-RHS step of [`forward_substitute`] /
+/// [`back_substitute_transposed`], run for `W` lanes side by side.
+#[inline(always)]
+fn lane_group<const W: usize>(
+    coef: &[f64],
+    rows: std::slice::ChunksExact<'_, f64>,
+    b: &mut [f64],
+    c0: usize,
+    d: f64,
+) {
+    let mut s = [0.0; W];
+    s.copy_from_slice(&b[c0..c0 + W]);
+    for (lk, bk) in coef.iter().zip(rows) {
+        let bk = &bk[c0..c0 + W];
+        for c in 0..W {
+            s[c] -= lk * bk[c];
         }
+    }
+    for c in 0..W {
+        b[c0 + c] = s[c] / d;
+    }
+}
+
+/// One row of a lane-major substitution pass: [`lane_group`] over lanes
+/// `0..m` in groups of [`SOLVE_LANES`], then 4, 2 and 1.
+#[inline(always)]
+fn lane_row(coef: &[f64], rows: &[f64], b: &mut [f64], m: usize, d: f64) {
+    let mut c0 = 0;
+    while m - c0 >= SOLVE_LANES {
+        lane_group::<SOLVE_LANES>(coef, rows.chunks_exact(m), b, c0, d);
+        c0 += SOLVE_LANES;
+    }
+    if m - c0 >= 4 {
+        lane_group::<4>(coef, rows.chunks_exact(m), b, c0, d);
+        c0 += 4;
+    }
+    if m - c0 >= 2 {
+        lane_group::<2>(coef, rows.chunks_exact(m), b, c0, d);
+        c0 += 2;
+    }
+    if m - c0 == 1 {
+        lane_group::<1>(coef, rows.chunks_exact(m), b, c0, d);
+    }
+}
+
+/// Lane-major [`forward_substitute`] over `m` right-hand sides.
+fn forward_substitute_lanes(l: &Matrix, panel: &mut [f64], m: usize) {
+    for i in 0..l.rows() {
+        let row = l.row(i);
+        let (done, rest) = panel.split_at_mut(i * m);
+        lane_row(&row[..i], done, &mut rest[..m], m, row[i]);
+    }
+}
+
+/// Lane-major [`back_substitute_transposed`] over `m` right-hand sides.
+/// `l` is a [`Cholesky`] store: row `i` right of the diagonal holds
+/// column `i` of `L` below it.
+fn back_substitute_transposed_lanes(l: &Matrix, panel: &mut [f64], m: usize) {
+    for i in (0..l.rows()).rev() {
+        let row = l.row(i);
+        let (head, tail) = panel.split_at_mut((i + 1) * m);
+        lane_row(&row[i + 1..], tail, &mut head[i * m..], m, row[i]);
     }
 }
 
@@ -357,7 +460,7 @@ mod tests {
         let a = spd_test_matrix(8);
         let ch = Cholesky::factor(&a).unwrap();
         let l = ch.factor_l();
-        let rec = gemm(l, &l.transpose());
+        let rec = gemm(&l, &l.transpose());
         assert!(rec.approx_eq(&a, 1e-10));
     }
 
@@ -393,8 +496,9 @@ mod tests {
             staged.row_mut(i)[..=i].copy_from_slice(&a.row(i)[..=i]);
         }
         let reference = Cholesky::factor_unblocked(staged).unwrap();
-        assert!(blocked.factor_l().approx_eq(reference.factor_l(), 1e-8));
-        let rec = gemm(blocked.factor_l(), &blocked.factor_l().transpose());
+        let l = blocked.factor_l();
+        assert!(l.approx_eq(&reference, 1e-8));
+        let rec = gemm(&l, &l.transpose());
         assert!(rec.approx_eq(&a, 1e-7));
         // Solves agree too.
         let x_true: Vec<f64> = (0..150).map(|i| ((i % 13) as f64) - 6.0).collect();

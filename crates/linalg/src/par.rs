@@ -1,9 +1,10 @@
 //! Deterministic scoped fork-join for task-grain parallelism.
 //!
 //! The unit of work is one *item*: a Gram band, a selection bootstrap,
-//! an estimation resample or a VAR column path. [`map`] hands the items
-//! of a batch to at most `workers` threads (the calling thread is one of
-//! them) on [`std::thread::scope`], so items may borrow from the caller.
+//! an estimation resample or a block of VAR column paths. [`map`] hands
+//! the items of a batch to at most `workers` threads (the calling thread
+//! is one of them) on [`std::thread::scope`], so items may borrow from
+//! the caller.
 //!
 //! ## Determinism
 //!

@@ -23,8 +23,9 @@ use crate::prox::soft_threshold_vec;
 use crate::resilience::FactorHealth;
 use std::sync::Arc;
 use uoi_linalg::{
-    factor_upper_jittered, gemv, gemv_into, gemv_t, gemv_t_into, kernels, norm2, norm2_diff,
-    norm2_scaled, norm2_scaled_diff, Cholesky, FactorBreakdown, JitterLadder, Matrix,
+    factor_upper_jittered, gemv, gemv_into, gemv_t, gemv_t_into, kernels, lane, norm2,
+    norm2_diff, norm2_scaled, norm2_scaled_diff, store_lane, Cholesky, FactorBreakdown,
+    JitterLadder, Matrix,
 };
 use uoi_telemetry::MetricsRegistry;
 
@@ -53,7 +54,7 @@ pub enum PathSchedule {
     Sequential,
     /// Solve every lambda in lockstep from a cold start, fusing the
     /// per-iteration triangular solves of all still-active lambdas into one
-    /// multi-RHS substitution over the shared Cholesky factor. Each
+    /// lane-parallel substitution over the shared Cholesky factor. Each
     /// lambda's iterates are bit-identical to its own cold
     /// [`LassoAdmm::solve_with_rhs`] — but *not* to the warm-started
     /// `Sequential` path, which couples lambdas through the carried `z`.
@@ -77,7 +78,7 @@ pub struct AdmmConfig {
     pub reltol: f64,
     /// In-rank worker count. The serial UoI pipelines fan their
     /// independent tasks (Gram bands, selection bootstraps, estimation
-    /// resamples, VAR column paths) out over this many OS threads
+    /// resamples, VAR column blocks) out over this many OS threads
     /// (`uoi_linalg::par`); the dist and recovering executors keep one
     /// worker per rank, and a solver's own loops always run on the
     /// calling thread. The modeled clock charges a lockstep round as
@@ -216,6 +217,16 @@ pub struct AdmmSolution {
     pub curve: Vec<f64>,
 }
 
+/// Response columns per block when many columns share one factorisation
+/// (UoI_VAR selection: p columns over one bootstrap Gram). With q lambdas
+/// a fused block is `LOCKSTEP_COLUMNS * q` lanes advancing in one lockstep
+/// ([`LassoAdmm::solve_paths_with_rhs`]). Lane state (`z`, `u` and
+/// one panel row per lane) grows with the width while the substitution's
+/// register groups are already full at q = 8; four columns measured as
+/// fast as eight on `var_granger` at the parent's peak memory, eight cost
+/// about +9% peak memory.
+pub const LOCKSTEP_COLUMNS: usize = 4;
+
 /// Residual curves returned in [`AdmmSolution::curve`] are decimated
 /// to at most this many samples (endpoints kept exactly).
 pub const CURVE_MAX_POINTS: usize = 32;
@@ -350,6 +361,12 @@ pub struct AdmmWorkspace {
     /// Per-iteration primal residuals of the in-flight solve; only
     /// pushed to when [`AdmmConfig::capture_curve`] is set.
     curve: Vec<f64>,
+    /// Lane-major x-update panel of a lockstep round (p x active lanes,
+    /// `panel[i * lanes + lane]`); see [`LassoAdmm::step_many`].
+    panel: Vec<f64>,
+    /// Woodbury scratch of a lockstep round: the inner solves' panel
+    /// (n x active lanes).
+    wn_panel: Vec<f64>,
 }
 
 impl AdmmWorkspace {
@@ -372,7 +389,10 @@ pub struct AdmmStatus {
     pub converged: bool,
 }
 
-/// Explicit per-problem iteration state for [`LassoAdmm::step`].
+/// Explicit per-problem iteration state for [`LassoAdmm::step`] and
+/// [`LassoAdmm::step_many`]. A state stepped only through `step_many`
+/// holds just `z`, `u` and (when capturing) its residual curve: the
+/// lockstep keeps every other vector in one shared workspace.
 #[derive(Debug, Clone)]
 pub struct AdmmState {
     /// Consensus iterate (the sparse solution once converged).
@@ -391,8 +411,8 @@ pub struct AdmmState {
     scratch: AdmmWorkspace,
 }
 
-/// One column of a lockstep [`LassoAdmm::step_many`] round: a per-column
-/// right-hand side and penalty plus the iteration state advanced in place.
+/// One lane of a lockstep [`LassoAdmm::step_many`] round: a right-hand
+/// side and penalty plus the iteration state advanced in place.
 pub struct StepTask<'a> {
     /// Precomputed `X^T y` for this column.
     pub xty: &'a [f64],
@@ -414,7 +434,7 @@ enum DesignStore {
 /// A LASSO-ADMM solver with cached factorisation for a fixed design.
 ///
 /// `Clone` shares the design and the factorisation (two `Arc` bumps), so
-/// concurrent column paths over one factor can each carry their own
+/// concurrent column blocks over one factor can each carry their own
 /// metrics registry ([`LassoAdmm::with_metrics`]).
 #[derive(Clone)]
 pub struct LassoAdmm {
@@ -644,7 +664,11 @@ impl LassoAdmm {
     ) -> (f64, f64, bool) {
         self.build_rhs(xty, z, u, ws);
         self.x_update(ws);
-        self.finish_iterate(lambda / self.rho, z, u, ws)
+        let (r_norm, s_norm, conv) = self.finish_iterate(lambda / self.rho, z, u, ws);
+        if self.cfg.capture_curve {
+            ws.curve.push(r_norm);
+        }
+        (r_norm, s_norm, conv)
     }
 
     /// Iteration stage 1: the x-update right-hand side
@@ -682,10 +706,49 @@ impl LassoAdmm {
         }
     }
 
+    /// Iteration stage 2 (lockstep form): apply `(X^T X + rho I)^{-1}` in
+    /// place to the `lanes` right-hand sides in `ws.panel`. Each lane's
+    /// result is bit-identical to [`Self::x_update`] on that column.
+    fn x_update_panel(&self, lanes: usize, ws: &mut AdmmWorkspace) {
+        match &*self.factor {
+            Factorization::Primal(ch) => ch.solve_panel_in_place(&mut ws.panel, lanes),
+            Factorization::Woodbury(ch) => {
+                let x = self.dense();
+                let rho = self.rho;
+                let AdmmWorkspace {
+                    panel,
+                    wn_panel,
+                    rhs,
+                    wn,
+                    wt,
+                    ..
+                } = ws;
+                wn_panel.clear();
+                wn_panel.resize(x.rows() * lanes, 0.0);
+                for c in 0..lanes {
+                    rhs.clear();
+                    rhs.extend(lane(panel, lanes, c));
+                    gemv_into(x, rhs, wn);
+                    store_lane(wn_panel, lanes, c, wn);
+                }
+                ch.solve_panel_in_place(wn_panel, lanes);
+                for c in 0..lanes {
+                    wn.clear();
+                    wn.extend(lane(wn_panel, lanes, c));
+                    gemv_t_into(x, wn, wt);
+                    for (v, wi) in panel[c..].iter_mut().step_by(lanes).zip(&*wt) {
+                        *v = (*v - wi) / rho;
+                    }
+                }
+            }
+        }
+    }
+
     /// Iteration stage 3: z-/u-updates, residual norms (Boyd §3.3.1, fused
     /// — no r/s/rho_u temporaries), and the convergence decision, given a
     /// fresh `ws.x_var`. The vectorised prox is bit-identical to the
-    /// historical scalar z-update loop (see `uoi_linalg::kernels`).
+    /// historical scalar z-update loop (see `uoi_linalg::kernels`). The
+    /// caller records the returned primal residual in its curve.
     fn finish_iterate(
         &self,
         kappa: f64,
@@ -696,11 +759,7 @@ impl LassoAdmm {
         let p = z.len();
         let rho = self.rho;
         let AdmmWorkspace {
-            x_var,
-            z_old,
-            xu,
-            curve,
-            ..
+            x_var, z_old, xu, ..
         } = ws;
 
         // z-update with over-relaxation omitted (plain ADMM).
@@ -721,9 +780,6 @@ impl LassoAdmm {
 
         let r_norm = norm2_diff(x_var, z);
         let s_norm = norm2_scaled_diff(rho, z, z_old);
-        if self.cfg.capture_curve {
-            curve.push(r_norm);
-        }
         let sqrt_p = (p as f64).sqrt();
         let eps_pri = sqrt_p * self.cfg.abstol + self.cfg.reltol * norm2(x_var).max(norm2(z));
         let eps_dual = sqrt_p * self.cfg.abstol + self.cfg.reltol * norm2_scaled(rho, u);
@@ -910,91 +966,64 @@ impl LassoAdmm {
         }
     }
 
-    /// Advance every unconverged task one ADMM iteration in lockstep,
-    /// fusing the round's triangular solves into a single multi-RHS
-    /// substitution over the shared Cholesky factor (the factorisation is
-    /// streamed through the cache once per round instead of once per
-    /// column).
+    /// Advance every unconverged task one ADMM iteration in lockstep.
     ///
-    /// Per column the arithmetic matches [`LassoAdmm::step`] in order and
+    /// The active lanes' right-hand sides are built straight into the
+    /// lane-major panel of `ws`, and the round's x-updates run as one
+    /// lane-parallel substitution over the shared Cholesky factor
+    /// ([`Cholesky::solve_panel_in_place`]). The z-/u-updates then run per
+    /// lane through `ws`'s shared scratch, so a task's state holds only
+    /// `z`, `u` and its residual curve. Allocation-free once `ws` has seen
+    /// a round of this width.
+    ///
+    /// Per task the arithmetic matches [`LassoAdmm::step`] in order and
     /// association, so iterates, residuals, and convergence decisions are
     /// bit-identical to stepping each task individually — only the memory
-    /// schedule (and hence the constant factor) changes. See DESIGN.md §3.
-    pub fn step_many(&self, tasks: &mut [StepTask<'_>]) {
-        // Stage 1: rhs builds, per column.
-        tasks.iter_mut().for_each(|t| {
-            if t.state.converged {
-                return;
-            }
-            t.state.iterations += 1;
-            let AdmmState { z, u, scratch, .. } = &mut *t.state;
-            self.build_rhs(t.xty, z, u, scratch);
-        });
+    /// schedule (and hence the constant factor) changes. Tasks converging
+    /// in this round are noted in the metrics in task order. See
+    /// DESIGN.md §3.
+    pub fn step_many(&self, tasks: &mut [StepTask<'_>], ws: &mut AdmmWorkspace) {
+        let lanes = tasks.iter().filter(|t| !t.state.converged).count();
+        if lanes == 0 {
+            return;
+        }
+        let p = self.n_coefficients();
+        let rho = self.rho;
 
-        // Stage 2: fused x-update across the active columns.
-        match &*self.factor {
-            Factorization::Primal(ch) => {
-                tasks.iter_mut().for_each(|t| {
-                    if t.state.converged {
-                        return;
-                    }
-                    let AdmmWorkspace { rhs, x_var, .. } = &mut t.state.scratch;
-                    x_var.clear();
-                    x_var.extend_from_slice(rhs);
-                });
-                let mut cols: Vec<&mut [f64]> = tasks
-                    .iter_mut()
-                    .filter(|t| !t.state.converged)
-                    .map(|t| t.state.scratch.x_var.as_mut_slice())
-                    .collect();
-                ch.solve_multi_in_place(&mut cols);
-            }
-            Factorization::Woodbury(ch) => {
-                tasks.iter_mut().for_each(|t| {
-                    if t.state.converged {
-                        return;
-                    }
-                    let AdmmWorkspace { rhs, wn, .. } = &mut t.state.scratch;
-                    gemv_into(self.dense(), rhs, wn);
-                });
-                let mut cols: Vec<&mut [f64]> = tasks
-                    .iter_mut()
-                    .filter(|t| !t.state.converged)
-                    .map(|t| t.state.scratch.wn.as_mut_slice())
-                    .collect();
-                ch.solve_multi_in_place(&mut cols);
-                let rho = self.rho;
-                tasks.iter_mut().for_each(|t| {
-                    if t.state.converged {
-                        return;
-                    }
-                    let AdmmWorkspace {
-                        rhs, x_var, wn, wt, ..
-                    } = &mut t.state.scratch;
-                    gemv_t_into(self.dense(), wn, wt);
-                    x_var.clear();
-                    x_var.extend(rhs.iter().zip(&*wt).map(|(vi, wi)| (vi - wi) / rho));
-                });
+        // Stage 1: rhs builds `X^T y + rho (z - u)`, into the panel.
+        ws.panel.clear();
+        ws.panel.resize(p * lanes, 0.0);
+        let active = tasks.iter_mut().filter(|t| !t.state.converged);
+        for (c, t) in active.enumerate() {
+            t.state.iterations += 1;
+            let AdmmState { z, u, .. } = &*t.state;
+            let slots = ws.panel[c..].iter_mut().step_by(lanes);
+            for (((r, xi), zi), ui) in slots.zip(t.xty).zip(z).zip(u) {
+                *r = xi + rho * (zi - ui);
             }
         }
 
-        // Stage 3: z-/u-updates, residuals, convergence — per column.
-        tasks.iter_mut().for_each(|t| {
-            if t.state.converged {
-                return;
+        // Stage 2: one lane-parallel x-update.
+        self.x_update_panel(lanes, ws);
+
+        // Stage 3: z-/u-updates, residuals, convergence — per lane.
+        let active = tasks.iter_mut().filter(|t| !t.state.converged);
+        for (c, t) in active.enumerate() {
+            ws.x_var.clear();
+            ws.x_var.extend(lane(&ws.panel, lanes, c));
+            let st = &mut *t.state;
+            let (r_norm, s_norm, conv) =
+                self.finish_iterate(t.lambda / rho, &mut st.z, &mut st.u, ws);
+            if self.cfg.capture_curve {
+                st.scratch.curve.push(r_norm);
             }
-            let kappa = t.lambda / self.rho;
-            let (r_norm, s_norm, conv) = {
-                let AdmmState { z, u, scratch, .. } = &mut *t.state;
-                self.finish_iterate(kappa, z, u, scratch)
-            };
-            t.state.primal_residual = r_norm;
-            t.state.dual_residual = s_norm;
+            st.primal_residual = r_norm;
+            st.dual_residual = s_norm;
             if conv {
-                t.state.converged = true;
-                self.note_solve(t.state.iterations, true, r_norm, s_norm);
+                st.converged = true;
+                self.note_solve(st.iterations, true, r_norm, s_norm);
             }
-        });
+        }
     }
 
     /// Solve with residual-balancing adaptive `rho` (Boyd §3.4.1):
@@ -1147,8 +1176,9 @@ impl LassoAdmm {
     /// Solve the whole lambda path in lockstep from cold starts
     /// ([`PathSchedule::Fused`]): every still-active lambda advances one
     /// iteration per round, and each round's triangular solves collapse
-    /// into a single multi-RHS substitution over the shared Cholesky
-    /// factor via [`LassoAdmm::step_many`].
+    /// into one lane-parallel substitution over the shared Cholesky factor
+    /// via [`LassoAdmm::step_many`]. The one-column case of
+    /// [`LassoAdmm::solve_paths_with_rhs`] under the fused schedule.
     ///
     /// Per lambda the returned solution is bit-identical (supports and
     /// `f64::to_bits` coefficients) to a cold [`LassoAdmm::solve_with_rhs`]
@@ -1156,51 +1186,143 @@ impl LassoAdmm {
     /// path order. With metrics attached, records `admm.path.solves`,
     /// `admm.path.iterations`, and `admm.path.fused_rounds`.
     pub fn solve_path_fused_with_rhs(&self, xty: &[f64], lambdas: &[f64]) -> Vec<AdmmSolution> {
+        let mut out = self.lockstep_paths(&[xty], lambdas, None);
+        out.pop().expect("one column").0
+    }
+
+    /// Lambda paths for a block of right-hand sides `xtys` (one per
+    /// response column) sharing this factorisation, one path per column.
+    ///
+    /// Under [`PathSchedule::Fused`] all `xtys.len() x lambdas.len()`
+    /// problems advance in one lockstep, so every round is a single
+    /// lane-parallel substitution over up to that many lanes. Each column
+    /// is bit-identical to [`LassoAdmm::solve_path_fused_with_rhs`] on it
+    /// alone, and the metrics are recorded in the order those one-column
+    /// calls, made in column order, would record them. Under
+    /// [`PathSchedule::Sequential`] each column runs its own warm-started
+    /// [`LassoAdmm::solve_path_with_rhs`].
+    pub fn solve_paths_with_rhs(&self, xtys: &[&[f64]], lambdas: &[f64]) -> Vec<Vec<AdmmSolution>> {
+        match self.cfg.schedule {
+            PathSchedule::Fused => self
+                .lockstep_paths(xtys, lambdas, None)
+                .into_iter()
+                .map(|(sols, _)| sols)
+                .collect(),
+            PathSchedule::Sequential => xtys
+                .iter()
+                .map(|xty| self.solve_path_with_rhs(xty, lambdas))
+                .collect(),
+        }
+    }
+
+    /// The lockstep behind every fused path entry point. Lane `c * q + j`
+    /// is column `c` at lambda `j`; with `guard` set, a lane whose
+    /// residuals turn non-finite or exceed the cap is frozen after its
+    /// round and reported in its column's diverged list.
+    ///
+    /// The lanes are stepped by a metrics-free clone; each column's
+    /// bookkeeping is recorded afterwards, in column order, exactly as a
+    /// one-column lockstep records it: converged lanes by (iterations,
+    /// lambda index) — the order `step_many` notes them in — then the
+    /// round count, then the per-lambda path stats with the non-converged
+    /// lanes' solve records.
+    fn lockstep_paths(
+        &self,
+        xtys: &[&[f64]],
+        lambdas: &[f64],
+        guard: Option<f64>,
+    ) -> Vec<(Vec<AdmmSolution>, Vec<usize>)> {
         let p = self.n_coefficients();
-        assert_eq!(xty.len(), p, "rhs length mismatch");
+        for xty in xtys {
+            assert_eq!(xty.len(), p, "rhs length mismatch");
+        }
         for &lam in lambdas {
             assert!(lam >= 0.0);
         }
-        let mut states: Vec<AdmmState> = lambdas.iter().map(|_| self.init_state()).collect();
-        let mut rounds = 0usize;
+        let q = lambdas.len();
+        let stepper = LassoAdmm {
+            metrics: None,
+            ..self.clone()
+        };
+        let mut states: Vec<AdmmState> = (0..xtys.len() * q).map(|_| self.init_state()).collect();
+        let mut tripped = vec![false; states.len()];
+        let mut ws = AdmmWorkspace::new();
+        let mut tasks: Vec<StepTask<'_>> = states
+            .iter_mut()
+            .enumerate()
+            .map(|(i, state)| StepTask {
+                xty: xtys[i / q],
+                lambda: lambdas[i % q],
+                state,
+            })
+            .collect();
         for _ in 0..self.cfg.max_iter {
-            if states.iter().all(|s| s.converged) {
+            if tasks.iter().all(|t| t.state.converged) {
                 break;
             }
-            rounds += 1;
-            let mut tasks: Vec<StepTask<'_>> = states
-                .iter_mut()
-                .zip(lambdas)
-                .map(|(state, &lambda)| StepTask { xty, lambda, state })
-                .collect();
-            self.step_many(&mut tasks);
-        }
-        if let Some(m) = &self.metrics {
-            m.observe("admm.path.fused_rounds", rounds as f64);
-        }
-        let mut out = Vec::with_capacity(lambdas.len());
-        for st in states {
-            if !st.converged {
-                // Converged columns were already noted by `step_many`.
-                self.note_solve(st.iterations, false, st.primal_residual, st.dual_residual);
+            stepper.step_many(&mut tasks, &mut ws);
+            let Some(cap) = guard else { continue };
+            for (flag, t) in tripped.iter_mut().zip(tasks.iter_mut()) {
+                let st = &mut *t.state;
+                if st.converged || *flag {
+                    continue;
+                }
+                let (r, s) = (st.primal_residual, st.dual_residual);
+                if !r.is_finite() || !s.is_finite() || r > cap || s > cap {
+                    *flag = true;
+                    // Freeze the lane so later rounds skip it; the
+                    // collection below reports it as non-converged.
+                    st.converged = true;
+                }
             }
+        }
+        drop(tasks);
+
+        let mut states = states.into_iter();
+        let mut out = Vec::with_capacity(xtys.len());
+        for c in 0..xtys.len() {
+            let flags = &tripped[c * q..(c + 1) * q];
+            let col: Vec<AdmmState> = states.by_ref().take(q).collect();
+            let converged = |j: usize| col[j].converged && !flags[j];
             if let Some(m) = &self.metrics {
-                m.incr("admm.path.solves", 1);
-                m.observe("admm.path.iterations", st.iterations as f64);
+                let mut order: Vec<usize> = (0..q).filter(|&j| converged(j)).collect();
+                order.sort_by_key(|&j| col[j].iterations);
+                for j in order {
+                    let st = &col[j];
+                    self.note_solve(st.iterations, true, st.primal_residual, st.dual_residual);
+                }
+                let rounds = col.iter().map(|st| st.iterations).max().unwrap_or(0);
+                m.observe("admm.path.fused_rounds", rounds as f64);
             }
-            let curve = if self.cfg.capture_curve {
-                decimate_curve(&st.scratch.curve, CURVE_MAX_POINTS)
-            } else {
-                Vec::new()
-            };
-            out.push(AdmmSolution {
-                beta: st.z,
-                iterations: st.iterations,
-                primal_residual: st.primal_residual,
-                dual_residual: st.dual_residual,
-                converged: st.converged,
-                curve,
-            });
+            let mut sols = Vec::with_capacity(q);
+            let mut diverged = Vec::new();
+            for (j, st) in col.into_iter().enumerate() {
+                let converged = st.converged && !flags[j];
+                if !converged {
+                    self.note_solve(st.iterations, false, st.primal_residual, st.dual_residual);
+                }
+                if let Some(m) = &self.metrics {
+                    m.incr("admm.path.solves", 1);
+                    m.observe("admm.path.iterations", st.iterations as f64);
+                }
+                if flags[j] {
+                    diverged.push(j);
+                }
+                let curve = if self.cfg.capture_curve {
+                    decimate_curve(&st.scratch.curve, CURVE_MAX_POINTS)
+                } else {
+                    Vec::new()
+                };
+                sols.push(AdmmSolution {
+                    beta: st.z,
+                    iterations: st.iterations,
+                    primal_residual: st.primal_residual,
+                    dual_residual: st.dual_residual,
+                    converged,
+                    curve,
+                });
+            }
+            out.push((sols, diverged));
         }
         out
     }
@@ -1270,10 +1392,10 @@ impl LassoAdmm {
     }
 
     /// [`LassoAdmm::solve_path_fused_with_rhs`] with the divergence
-    /// tripwire armed per column: after each lockstep round, any
-    /// still-active column whose residuals are non-finite or above `cap`
+    /// tripwire armed per lambda: after each lockstep round, any
+    /// still-active lambda whose residuals are non-finite or above `cap`
     /// is frozen (no further steps) and reported in the diverged index
-    /// list with `converged = false`. Columns that never trip are
+    /// list with `converged = false`. Lambdas that never trip are
     /// bit-identical to the unguarded fused path.
     pub fn solve_path_fused_guarded_with_rhs(
         &self,
@@ -1281,72 +1403,29 @@ impl LassoAdmm {
         lambdas: &[f64],
         cap: f64,
     ) -> (Vec<AdmmSolution>, Vec<usize>) {
-        let p = self.n_coefficients();
-        assert_eq!(xty.len(), p, "rhs length mismatch");
-        for &lam in lambdas {
-            assert!(lam >= 0.0);
+        let mut out = self.lockstep_paths(&[xty], lambdas, Some(cap));
+        out.pop().expect("one column")
+    }
+
+    /// [`LassoAdmm::solve_paths_with_rhs`] with the divergence tripwire
+    /// armed. Fused, it is one lockstep in which a diverging lane is
+    /// frozen and reported in its own column's diverged list only, each
+    /// column equal to [`LassoAdmm::solve_path_fused_guarded_with_rhs`] on
+    /// it alone; sequential, it is one
+    /// [`LassoAdmm::solve_path_guarded_with_rhs`] per column.
+    pub fn solve_paths_guarded_with_rhs(
+        &self,
+        xtys: &[&[f64]],
+        lambdas: &[f64],
+        cap: f64,
+    ) -> Vec<(Vec<AdmmSolution>, Vec<usize>)> {
+        match self.cfg.schedule {
+            PathSchedule::Fused => self.lockstep_paths(xtys, lambdas, Some(cap)),
+            PathSchedule::Sequential => xtys
+                .iter()
+                .map(|xty| self.solve_path_guarded_with_rhs(xty, lambdas, cap))
+                .collect(),
         }
-        let mut states: Vec<AdmmState> = lambdas.iter().map(|_| self.init_state()).collect();
-        let mut tripped = vec![false; lambdas.len()];
-        let mut rounds = 0usize;
-        for _ in 0..self.cfg.max_iter {
-            if states.iter().all(|s| s.converged) {
-                break;
-            }
-            rounds += 1;
-            let mut tasks: Vec<StepTask<'_>> = states
-                .iter_mut()
-                .zip(lambdas)
-                .map(|(state, &lambda)| StepTask { xty, lambda, state })
-                .collect();
-            self.step_many(&mut tasks);
-            for (flag, st) in tripped.iter_mut().zip(states.iter_mut()) {
-                if st.converged || *flag {
-                    continue;
-                }
-                let (r, s) = (st.primal_residual, st.dual_residual);
-                if !r.is_finite() || !s.is_finite() || r > cap || s > cap {
-                    *flag = true;
-                    // Freeze the column so later rounds skip it; the
-                    // collection below reports it as non-converged.
-                    st.converged = true;
-                }
-            }
-        }
-        if let Some(m) = &self.metrics {
-            m.observe("admm.path.fused_rounds", rounds as f64);
-        }
-        let mut out = Vec::with_capacity(lambdas.len());
-        let mut diverged_idx = Vec::new();
-        for (i, st) in states.into_iter().enumerate() {
-            let converged = st.converged && !tripped[i];
-            if !converged {
-                // Genuinely converged columns were noted by `step_many`;
-                // frozen and capped-out ones are noted here.
-                self.note_solve(st.iterations, false, st.primal_residual, st.dual_residual);
-            }
-            if let Some(m) = &self.metrics {
-                m.incr("admm.path.solves", 1);
-                m.observe("admm.path.iterations", st.iterations as f64);
-            }
-            let curve = if self.cfg.capture_curve {
-                decimate_curve(&st.scratch.curve, CURVE_MAX_POINTS)
-            } else {
-                Vec::new()
-            };
-            if tripped[i] {
-                diverged_idx.push(i);
-            }
-            out.push(AdmmSolution {
-                beta: st.z,
-                iterations: st.iterations,
-                primal_residual: st.primal_residual,
-                dual_residual: st.dual_residual,
-                converged,
-                curve,
-            });
-        }
-        (out, diverged_idx)
     }
 }
 
@@ -1968,6 +2047,7 @@ mod tests {
 
         let mut lockstep: Vec<AdmmState> = (0..5).map(|_| solver.init_state()).collect();
         let mut individual = lockstep.clone();
+        let mut ws = AdmmWorkspace::new();
         for _ in 0..solver.config().max_iter {
             if lockstep.iter().all(|s| s.converged) {
                 break;
@@ -1978,7 +2058,7 @@ mod tests {
                 .zip(lambdas.iter())
                 .map(|((state, xty), &lambda)| StepTask { xty, lambda, state })
                 .collect();
-            solver.step_many(&mut tasks);
+            solver.step_many(&mut tasks, &mut ws);
             for ((st, xty), &lam) in individual.iter_mut().zip(&rhs_cols).zip(&lambdas) {
                 solver.step(xty, lam, st);
             }
@@ -1994,6 +2074,171 @@ mod tests {
             }
             for (va, vb) in a.u.iter().zip(&b.u) {
                 assert_eq!(va.to_bits(), vb.to_bits());
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod block_tests {
+    use super::*;
+
+    /// A VAR-shaped problem: one Gram shared by `cols` response columns,
+    /// capped tight enough that some lanes hit `max_iter`.
+    fn block_problem(cols: usize) -> (LassoAdmm, Vec<Vec<f64>>, Vec<f64>) {
+        let (n, p) = (60, 12);
+        let x = Matrix::from_fn(n, p, |i, j| {
+            (((i * 31 + j * 17) % 23) as f64 - 11.0) / 11.0 + 0.1 * ((i + j) as f64).sin()
+        });
+        let xtys: Vec<Vec<f64>> = (0..cols)
+            .map(|c| {
+                let y: Vec<f64> = (0..n)
+                    .map(|i| x[(i, c % p)] * 2.0 - x[(i, (c * 5 + 3) % p)] + 0.3 * ((i * c) as f64).cos())
+                    .collect();
+                gemv_t(&x, &y)
+            })
+            .collect();
+        let cfg = AdmmConfig {
+            max_iter: 60,
+            abstol: 1e-7,
+            reltol: 1e-6,
+            schedule: PathSchedule::Fused,
+            capture_curve: true,
+            ..Default::default()
+        };
+        let lambdas = vec![40.0, 20.0, 8.0, 3.0, 1.0, 0.0];
+        (LassoAdmm::from_gram(uoi_linalg::syrk_t(&x), cfg), xtys, lambdas)
+    }
+
+    fn assert_paths_bit_identical(a: &[AdmmSolution], b: &[AdmmSolution], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (j, (sa, sb)) in a.iter().zip(b).enumerate() {
+            assert_eq!(sa.iterations, sb.iterations, "{what} lambda {j}");
+            assert_eq!(sa.converged, sb.converged, "{what} lambda {j}");
+            assert_eq!(sa.primal_residual.to_bits(), sb.primal_residual.to_bits());
+            assert_eq!(sa.dual_residual.to_bits(), sb.dual_residual.to_bits());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&sa.beta), bits(&sb.beta), "{what} lambda {j} beta");
+            assert_eq!(bits(&sa.curve), bits(&sb.curve), "{what} lambda {j} curve");
+        }
+    }
+
+    fn assert_same_metrics(a: &MetricsRegistry, b: &MetricsRegistry, what: &str) {
+        let (sa, sb) = (a.snapshot(), b.snapshot());
+        assert_eq!(sa, sb, "{what}: metrics snapshot");
+        for name in sa.histograms.keys() {
+            let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a.samples(name)), bits(b.samples(name)), "{what}: {name} order");
+        }
+    }
+
+    /// The one-column fused path as a round loop over `step_many`, which
+    /// notes converging lanes as they converge: the recording order the
+    /// block lockstep must reproduce per column.
+    fn stepped_reference(solver: &LassoAdmm, xty: &[f64], lambdas: &[f64]) -> Vec<AdmmSolution> {
+        let mut states: Vec<AdmmState> = lambdas.iter().map(|_| solver.init_state()).collect();
+        let mut ws = AdmmWorkspace::new();
+        let mut rounds = 0usize;
+        for _ in 0..solver.cfg.max_iter {
+            if states.iter().all(|s| s.converged) {
+                break;
+            }
+            rounds += 1;
+            let mut tasks: Vec<StepTask<'_>> = states
+                .iter_mut()
+                .zip(lambdas)
+                .map(|(state, &lambda)| StepTask { xty, lambda, state })
+                .collect();
+            solver.step_many(&mut tasks, &mut ws);
+        }
+        let m = solver.metrics.as_ref().expect("reference records metrics");
+        m.observe("admm.path.fused_rounds", rounds as f64);
+        states
+            .into_iter()
+            .map(|st| {
+                if !st.converged {
+                    solver.note_solve(st.iterations, false, st.primal_residual, st.dual_residual);
+                }
+                m.incr("admm.path.solves", 1);
+                m.observe("admm.path.iterations", st.iterations as f64);
+                AdmmSolution {
+                    beta: st.z,
+                    iterations: st.iterations,
+                    primal_residual: st.primal_residual,
+                    dual_residual: st.dual_residual,
+                    converged: st.converged,
+                    curve: decimate_curve(&st.scratch.curve, CURVE_MAX_POINTS),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn column_blocks_match_per_column_paths_bitwise() {
+        let w = LOCKSTEP_COLUMNS;
+        // Block sizes around the width, plus p = 2w + 3 cut into blocks of
+        // w the way UoI_VAR selection cuts its columns.
+        for (p, block) in [(1, 1), (w - 1, w - 1), (w, w), (w + 1, w + 1), (2 * w + 3, w)] {
+            let (solver, xtys, lambdas) = block_problem(p);
+            let block_metrics = Arc::new(MetricsRegistry::new());
+            let blocked = solver.clone().with_metrics(block_metrics.clone());
+            let mut got = Vec::new();
+            for chunk in xtys.chunks(block) {
+                let refs: Vec<&[f64]> = chunk.iter().map(Vec::as_slice).collect();
+                got.extend(blocked.solve_paths_with_rhs(&refs, &lambdas));
+            }
+            let col_metrics = Arc::new(MetricsRegistry::new());
+            let per_col = solver.clone().with_metrics(col_metrics.clone());
+            let ref_metrics = Arc::new(MetricsRegistry::new());
+            let stepped = solver.clone().with_metrics(ref_metrics.clone());
+            assert_eq!(got.len(), p);
+            let mut capped = 0;
+            for (c, (xty, sols)) in xtys.iter().zip(&got).enumerate() {
+                let what = format!("p={p} block={block} column {c}");
+                assert_paths_bit_identical(sols, &per_col.solve_path_fused_with_rhs(xty, &lambdas), &what);
+                assert_paths_bit_identical(sols, &stepped_reference(&stepped, xty, &lambdas), &what);
+                for (sol, &lam) in sols.iter().zip(&lambdas) {
+                    assert_paths_bit_identical(
+                        std::slice::from_ref(sol),
+                        &[solver.solve_with_rhs(xty, lam)],
+                        &format!("{what} cold lambda {lam}"),
+                    );
+                }
+                capped += sols.iter().filter(|s| !s.converged).count();
+            }
+            assert!(capped > 0, "p={p}: some lanes must hit the cap");
+            assert!(capped < p * lambdas.len(), "p={p}: some lanes must converge");
+            assert_same_metrics(&block_metrics, &col_metrics, &format!("p={p} block vs column"));
+            assert_same_metrics(&block_metrics, &ref_metrics, &format!("p={p} block vs stepped"));
+        }
+    }
+
+    #[test]
+    fn guarded_block_freezes_and_reports_only_the_diverging_column() {
+        let w = LOCKSTEP_COLUMNS;
+        let (solver, mut xtys, lambdas) = block_problem(w + 1);
+        let bad = 3;
+        for v in &mut xtys[bad] {
+            *v *= 1e200;
+        }
+        let cap = crate::resilience::DEFAULT_DIVERGENCE_CAP;
+        let refs: Vec<&[f64]> = xtys.iter().map(Vec::as_slice).collect();
+        let got = solver.solve_paths_guarded_with_rhs(&refs, &lambdas, cap);
+        assert_eq!(got.len(), w + 1);
+        for (c, (xty, (sols, diverged))) in xtys.iter().zip(&got).enumerate() {
+            let (want, want_diverged) = solver.solve_path_fused_guarded_with_rhs(xty, &lambdas, cap);
+            assert_paths_bit_identical(sols, &want, &format!("column {c}"));
+            assert_eq!(diverged, &want_diverged, "column {c}");
+            if c == bad {
+                assert!(!diverged.is_empty(), "the scaled column must trip the guard");
+                for &j in diverged {
+                    assert!(!sols[j].converged);
+                    assert_eq!(sols[j].iterations, 1, "a tripped lane is frozen at its round");
+                }
+            } else {
+                assert!(diverged.is_empty(), "column {c} must not be reported");
+                let plain = solver.solve_path_fused_with_rhs(xty, &lambdas);
+                assert_paths_bit_identical(sols, &plain, &format!("clean column {c}"));
             }
         }
     }

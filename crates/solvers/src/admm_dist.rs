@@ -32,7 +32,8 @@ use crate::prox::soft_threshold_vec;
 use crate::resilience::FactorHealth;
 use std::sync::Arc;
 use uoi_linalg::{
-    factor_upper_jittered, gemv_into, gemv_t, gemv_t_into, FactorBreakdown, JitterLadder, Matrix,
+    factor_upper_jittered, gemv_into, gemv_t, gemv_t_into, lane, store_lane, FactorBreakdown,
+    JitterLadder, Matrix,
 };
 use uoi_mpisim::{Comm, RankCtx};
 use uoi_telemetry::MetricsRegistry;
@@ -490,9 +491,9 @@ impl DistLassoAdmm {
     /// Solve every lambda of the path in lockstep from cold starts
     /// ([`PathSchedule::Fused`]). Per round, the still-active lambdas share
     ///
-    /// * one multi-RHS triangular substitution over the cached local
-    ///   Cholesky factor (the factor streams through the cache once per
-    ///   round instead of once per lambda),
+    /// * one lane-parallel triangular substitution over the cached local
+    ///   Cholesky factor for every active column
+    ///   ([`uoi_linalg::Cholesky::solve_panel_in_place`]),
     /// * one batched consensus allreduce carrying every active column's
     ///   `x_i + u_i` payload, and
     /// * one batched residual allreduce (3 scalars per active column),
@@ -569,6 +570,8 @@ impl DistLassoAdmm {
 
         let mut payload: Vec<f64> = Vec::new();
         let mut sums_v: Vec<f64> = Vec::new();
+        // Lane-major x-update panel, reused across rounds.
+        let mut panel: Vec<f64> = Vec::new();
         let mut rounds = 0usize;
         for _ in 0..self.cfg.max_iter {
             let active = cols.iter().filter(|c| !c.converged).count();
@@ -577,7 +580,7 @@ impl DistLassoAdmm {
             }
             rounds += 1;
 
-            // Local x-updates: rhs builds, then one multi-RHS solve.
+            // Local x-updates: rhs builds, then one lane-parallel solve.
             for_each_active(&mut cols, &|c| {
                 c.iterations += 1;
                 c.rhs.clear();
@@ -588,27 +591,31 @@ impl DistLassoAdmm {
             });
             match &self.factor {
                 Factorization::Primal(ch) => {
-                    for_each_active(&mut cols, &|c| {
+                    panel.clear();
+                    panel.resize(p * active, 0.0);
+                    for (k, c) in cols.iter().filter(|c| !c.converged).enumerate() {
+                        store_lane(&mut panel, active, k, &c.rhs);
+                    }
+                    ch.solve_panel_in_place(&mut panel, active);
+                    for (k, c) in cols.iter_mut().filter(|c| !c.converged).enumerate() {
                         c.x_i.clear();
-                        c.x_i.extend_from_slice(&c.rhs);
-                    });
-                    let mut rhs_cols: Vec<&mut [f64]> = cols
-                        .iter_mut()
-                        .filter(|c| !c.converged)
-                        .map(|c| c.x_i.as_mut_slice())
-                        .collect();
-                    ch.solve_multi_in_place(&mut rhs_cols);
+                        c.x_i.extend(lane(&panel, active, k));
+                    }
                 }
                 Factorization::Woodbury(ch) => {
                     for_each_active(&mut cols, &|c| {
                         gemv_into(self.local_dense(), &c.rhs, &mut c.wn);
                     });
-                    let mut wn_cols: Vec<&mut [f64]> = cols
-                        .iter_mut()
-                        .filter(|c| !c.converged)
-                        .map(|c| c.wn.as_mut_slice())
-                        .collect();
-                    ch.solve_multi_in_place(&mut wn_cols);
+                    panel.clear();
+                    panel.resize(n * active, 0.0);
+                    for (k, c) in cols.iter().filter(|c| !c.converged).enumerate() {
+                        store_lane(&mut panel, active, k, &c.wn);
+                    }
+                    ch.solve_panel_in_place(&mut panel, active);
+                    for (k, c) in cols.iter_mut().filter(|c| !c.converged).enumerate() {
+                        c.wn.clear();
+                        c.wn.extend(lane(&panel, active, k));
+                    }
                     for_each_active(&mut cols, &|c| {
                         gemv_t_into(self.local_dense(), &c.wn, &mut c.wt);
                         c.x_i.clear();

@@ -9,7 +9,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use uoi_linalg::Matrix;
-use uoi_solvers::{AdmmConfig, AdmmWorkspace, LassoAdmm, ResilienceConfig, ResilientLasso};
+use uoi_solvers::{
+    AdmmConfig, AdmmWorkspace, LassoAdmm, PathSchedule, ResilienceConfig, ResilientLasso,
+};
 
 struct CountingAlloc;
 
@@ -154,4 +156,56 @@ fn warm_solve_is_allocation_free_woodbury() {
         allocs, 0,
         "woodbury solve_warm_with allocated on the warm path"
     );
+}
+
+/// Allocations made by `solve` at `max_iter` 20 and at 150, on a problem
+/// whose tolerances no lane can reach, so every lane runs to the cap.
+fn fused_allocs_at_both_caps(solve: impl Fn(&LassoAdmm)) -> (usize, usize) {
+    let (n, p) = (48, 12);
+    let x = deterministic_design(n, p);
+    let gram = uoi_linalg::syrk_t(&x);
+    let count = |max_iter: usize| {
+        let cfg = AdmmConfig {
+            max_iter,
+            abstol: 1e-300,
+            reltol: 1e-300,
+            schedule: PathSchedule::Fused,
+            ..AdmmConfig::default()
+        };
+        let solver = LassoAdmm::from_gram(gram.clone(), cfg);
+        let before = allocations();
+        solve(&solver);
+        allocations() - before
+    };
+    (count(20), count(150))
+}
+
+/// A fused path's rounds allocate nothing: the lane states, the task list
+/// and the shared panel are sized before the first round, so a path that
+/// runs 150 rounds allocates exactly what one running 20 does — for one
+/// column and for a block of columns sharing the factor.
+#[test]
+fn fused_rounds_are_allocation_free() {
+    let (n, p) = (48, 12);
+    let x = deterministic_design(n, p);
+    let xtys: Vec<Vec<f64>> = (0..5)
+        .map(|c| {
+            let y: Vec<f64> = (0..n).map(|i| ((i * (c + 2)) as f64 * 0.13).sin()).collect();
+            uoi_linalg::gemv_t(&x, &y)
+        })
+        .collect();
+    let lambdas = [0.3, 0.1, 0.05, 0.01, 0.0];
+
+    let (short, long) = fused_allocs_at_both_caps(|s| {
+        let sols = s.solve_path_fused_with_rhs(&xtys[0], &lambdas);
+        assert!(sols.iter().all(|sol| !sol.converged));
+    });
+    assert_eq!(short, long, "one-column fused path allocated per round");
+
+    let refs: Vec<&[f64]> = xtys.iter().map(Vec::as_slice).collect();
+    let (short, long) = fused_allocs_at_both_caps(|s| {
+        let paths = s.solve_paths_with_rhs(&refs, &lambdas);
+        assert!(paths.iter().flatten().all(|sol| !sol.converged));
+    });
+    assert_eq!(short, long, "block fused path allocated per round");
 }
