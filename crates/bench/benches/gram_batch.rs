@@ -3,10 +3,13 @@
 //! per-bootstrap weighted-SYRK loop it replaces and (b) the materialise-
 //! then-SYRK baseline the zero-copy path already beat. Shapes follow the
 //! fig2 (LASSO single node, tall n x p) and fig7 (VAR, square-ish dp)
-//! pipeline workloads.
+//! pipeline workloads, plus the full fig2 Gram once per ISA instantiation
+//! of the tile sweep (`uoi_linalg::simd`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use uoi_linalg::gram::gram_rhs_batch_with_isa;
+use uoi_linalg::simd::Isa;
 use uoi_linalg::{syrk_t_weighted, syrk_t_weighted_batch, Matrix};
 
 fn matrix(n: usize, p: usize, seed: usize) -> Matrix {
@@ -72,5 +75,25 @@ fn bench_gram_batch(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_gram_batch);
+/// The fig2 Gram (4096 x 512, B = 5, one thread) with the tile sweep
+/// compiled for each ISA the host supports; every case is bit-identical.
+fn bench_gram_isa(c: &mut Criterion) {
+    const B: usize = 5;
+    let (n, p) = (4096usize, 512usize);
+    let a = matrix(n, p, 7);
+    let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+    let ws: Vec<Vec<f64>> = (0..B).map(|k| weights(n, 1 + k as u64)).collect();
+    let wrefs: Vec<&[f64]> = ws.iter().map(|w| w.as_slice()).collect();
+    let mut g = c.benchmark_group("gram_batch/fig2_isa");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements((B * n * p * p) as u64));
+    for isa in Isa::supported() {
+        g.bench_with_input(BenchmarkId::new(isa.name(), B), &B, |bench, _| {
+            bench.iter(|| gram_rhs_batch_with_isa(isa, black_box(&a), &y, black_box(&wrefs)))
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_gram_batch, bench_gram_isa);
 criterion_main!(benches);

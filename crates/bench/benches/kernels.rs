@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use uoi_linalg::simd::Isa;
 use uoi_linalg::{gemm, gemv, gemv_t, kernels, syrk_t, Cholesky, CsrMatrix, IdentityKron, Matrix};
 
 fn matrix(n: usize, p: usize, seed: usize) -> Matrix {
@@ -130,7 +131,8 @@ fn bench_multi_rhs_solve(c: &mut Criterion) {
     // interleaved substitution alone, as the lockstep solvers call it.
     // (128, 1) guards the single-RHS case, (128, 64) is a `var_granger`
     // round over 8 columns x 8 lambdas (two lockstep blocks' lanes), and
-    // (512, 8) one `lasso_tall` path round.
+    // (512, 8) one `lasso_tall` path round. (128, 64) also runs once per
+    // ISA instantiation the host supports (`panel_<isa>`).
     let mut g = c.benchmark_group("multi_rhs_solve");
     for &(p, nrhs) in &[
         (64usize, 8usize),
@@ -169,6 +171,19 @@ fn bench_multi_rhs_solve(c: &mut Criterion) {
                 ch.solve_panel_in_place(black_box(&mut work), nrhs);
             })
         });
+        if (p, nrhs) == (128, 64) {
+            // The same panel solve compiled for each ISA this host runs.
+            for isa in Isa::supported() {
+                let name = format!("panel_{}", isa.name());
+                g.bench_with_input(BenchmarkId::new(name, &id), &p, |b, _| {
+                    let mut work = panel.clone();
+                    b.iter(|| {
+                        work.copy_from_slice(&panel);
+                        ch.solve_panel_in_place_with_isa(isa, black_box(&mut work), nrhs);
+                    })
+                });
+            }
+        }
         g.bench_with_input(BenchmarkId::new("per_rhs", &id), &p, |b, _| {
             b.iter(|| {
                 let mut work = rhs.clone();

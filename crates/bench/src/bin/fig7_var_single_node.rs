@@ -73,6 +73,7 @@ fn main() {
         .param("exec_p", p)
         .param("threads", threads)
         .param("gram_kernel", uoi_linalg::gram::KERNEL_VARIANT)
+        .param("simd_isa", uoi_linalg::simd::isa().name())
         .with_summary(out.report.run_summary());
     if let Some(health) = out.numerical.take() {
         rr = rr.with_numerical(health);

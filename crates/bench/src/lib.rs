@@ -11,6 +11,7 @@
 //! paper's core counts while the executed working sets are scaled by
 //! `UOI_SCALE` (bytes divisor, default 1024: "GB" becomes "MB").
 
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)]
 
 use std::fmt::Write as _;

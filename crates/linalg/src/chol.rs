@@ -17,6 +17,7 @@
 //! back pass reads `L`'s columns as contiguous rows.
 
 use crate::dense::Matrix;
+use crate::simd::{self, Isa};
 
 /// Order below which the unblocked factorisation is used directly.
 const CHOL_BLOCK_THRESHOLD: usize = 128;
@@ -272,18 +273,46 @@ impl Cholesky {
     /// in register groups of [`SOLVE_LANES`] lanes plus a narrower
     /// remainder, so each `L` entry is loaded once per group and the
     /// group's lanes form independent dependency chains the compiler
-    /// vectorises. Each lane performs exactly the operation sequence of
+    /// vectorises. The passes run compiled for the detected
+    /// [`simd::isa`]. Each lane performs exactly the operation sequence of
     /// [`Cholesky::solve_in_place`] (no fused multiply-add, no
     /// reassociation), so every lane's result is bit-identical to a
-    /// single-RHS solve of that column.
+    /// single-RHS solve of that column on every ISA.
     pub fn solve_panel_in_place(&self, panel: &mut [f64], m: usize) {
+        self.solve_panel_in_place_with_isa(simd::isa(), panel, m);
+    }
+
+    /// [`Cholesky::solve_panel_in_place`] compiled for `isa` instead of the
+    /// detected one: the per-ISA benchmark and identity-test hook.
+    ///
+    /// # Panics
+    ///
+    /// If the host does not support `isa` (see [`Isa::is_supported`]), or
+    /// if `panel.len() != order * m`.
+    pub fn solve_panel_in_place_with_isa(&self, isa: Isa, panel: &mut [f64], m: usize) {
         let n = self.order();
-        assert_eq!(panel.len(), n * m, "Cholesky::solve_panel: panel shape mismatch");
+        assert_eq!(
+            panel.len(),
+            n * m,
+            "Cholesky::solve_panel: panel shape mismatch"
+        );
+        assert!(
+            isa.is_supported(),
+            "{} is not supported on this host",
+            isa.name()
+        );
         if m == 0 {
             return;
         }
-        forward_substitute_lanes(&self.l, panel, m);
-        back_substitute_transposed_lanes(&self.l, panel, m);
+        match isa {
+            Isa::Baseline => solve_panel_lanes(&self.l, panel, m),
+            // SAFETY: the assertion above proved the host supports AVX2.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { solve_panel_lanes_avx2(&self.l, panel, m) },
+            // SAFETY: the assertion above proved the host supports AVX-512F.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { solve_panel_lanes_avx512(&self.l, panel, m) },
+        }
     }
 
     /// Solve `A X = B` column by column.
@@ -345,8 +374,10 @@ pub fn lane(panel: &[f64], m: usize, c: usize) -> impl Iterator<Item = f64> + '_
 
 /// Right-hand sides per register group of
 /// [`Cholesky::solve_panel_in_place`]: eight independent accumulation
-/// chains per `L` entry loaded. The remainder of a panel runs as one group
-/// each of four, two and one lanes, as far as it needs them.
+/// chains per `L` entry loaded — one zmm register under AVX-512, two ymm
+/// under AVX2, four xmm on the SSE2 baseline. The remainder of a panel
+/// runs as one group each of four, two and one lanes, as far as it needs
+/// them.
 pub const SOLVE_LANES: usize = 8;
 
 /// One substitution step for lanes `c0..c0 + W` of a lane-major panel:
@@ -396,7 +427,28 @@ fn lane_row(coef: &[f64], rows: &[f64], b: &mut [f64], m: usize, d: f64) {
     }
 }
 
+/// Both lane-major substitution passes over `m` right-hand sides: the
+/// body every ISA instantiation of the panel solve compiles.
+#[inline(always)]
+fn solve_panel_lanes(l: &Matrix, panel: &mut [f64], m: usize) {
+    forward_substitute_lanes(l, panel, m);
+    back_substitute_transposed_lanes(l, panel, m);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn solve_panel_lanes_avx2(l: &Matrix, panel: &mut [f64], m: usize) {
+    solve_panel_lanes(l, panel, m)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn solve_panel_lanes_avx512(l: &Matrix, panel: &mut [f64], m: usize) {
+    solve_panel_lanes(l, panel, m)
+}
+
 /// Lane-major [`forward_substitute`] over `m` right-hand sides.
+#[inline(always)]
 fn forward_substitute_lanes(l: &Matrix, panel: &mut [f64], m: usize) {
     for i in 0..l.rows() {
         let row = l.row(i);
@@ -408,6 +460,7 @@ fn forward_substitute_lanes(l: &Matrix, panel: &mut [f64], m: usize) {
 /// Lane-major [`back_substitute_transposed`] over `m` right-hand sides.
 /// `l` is a [`Cholesky`] store: row `i` right of the diagonal holds
 /// column `i` of `L` below it.
+#[inline(always)]
 fn back_substitute_transposed_lanes(l: &Matrix, panel: &mut [f64], m: usize) {
     for i in (0..l.rows()).rev() {
         let row = l.row(i);
@@ -592,6 +645,47 @@ mod tests {
             for (got, want) in cols.iter().zip(&singles) {
                 for (g, w) in got.iter().zip(want) {
                     assert_eq!(g.to_bits(), w.to_bits(), "n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn panel_solve_every_isa_bit_identical_to_baseline() {
+        let isas: Vec<Isa> = Isa::supported().collect();
+        let names: Vec<&str> = isas.iter().map(|i| i.name()).collect();
+        println!("panel-solve ISA identity covers: {}", names.join(", "));
+        // Entry `e` of a panel: mostly ordinary values, salted with ±0 and
+        // subnormals everywhere and, in every seventh lane only, values at
+        // or past `f64::MAX` whose products with `L` overflow (so the other
+        // lanes stay finite).
+        let entry = |e: usize, m: usize| -> f64 {
+            let v = ((e * 7 + 3) % 19) as f64 * 0.41 - 3.7;
+            match (e as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => v * 1e-310,
+                3 => f64::from_bits(1 + e as u64 % 5),
+                4 if (e % m) % 7 == 3 => v * 1e308,
+                _ => v,
+            }
+        };
+        for n in [1usize, 2, 63, 128, 129, 300] {
+            let ch = Cholesky::factor(&spd_test_matrix(n)).unwrap();
+            for m in 0..=70usize {
+                let panel: Vec<f64> = (0..n * m).map(|e| entry(e, m)).collect();
+                let mut want = panel.clone();
+                ch.solve_panel_in_place_with_isa(Isa::Baseline, &mut want, m);
+                for &isa in &isas {
+                    let mut got = panel.clone();
+                    ch.solve_panel_in_place_with_isa(isa, &mut got, m);
+                    for (e, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                            "{} n={n} m={m} entry {e}: {g:e} vs baseline {w:e}",
+                            isa.name()
+                        );
+                    }
                 }
             }
         }

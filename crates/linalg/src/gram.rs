@@ -16,12 +16,37 @@
 //! *bands* of [`GRAM_BAND`] rows. One parallel task owns band `j0..j1` of
 //! **all** `B` outputs. Within a task, the rows of `X` are consumed in
 //! *panels* of [`GRAM_PANEL_ROWS`]; the panel's column suffix `[j0..p)` is
-//! copied into a contiguous packed buffer (stride `p - j0`), and a 4×4
-//! register-tiled micro-kernel (the same lane width as [`crate::kernels`])
-//! then sweeps the band's tiles once per resample, reading only the packed
-//! copy. For the fig2 shape (`p = 512`) a packed panel is
-//! `64 × 512 × 8 B = 256 KiB` — inside L2 — so the `B - 1` extra sweeps
-//! hit cache instead of DRAM.
+//! copied into a contiguous packed buffer (stride `p - j0`), and a
+//! register-tiled micro-kernel then sweeps the band's tiles once per
+//! resample, reading only the packed copy. For the fig2 shape (`p = 512`)
+//! a packed panel is `64 × 512 × 8 B = 256 KiB` — inside L2 — so the
+//! `B - 1` extra sweeps hit cache instead of DRAM.
+//!
+//! ## Per-ISA micro-kernels
+//!
+//! The micro-kernel is one generic body, `tile_sweep_rc::<R, C>` (`R` Gram
+//! rows by `C` Gram columns of accumulators), compiled once per ISA that
+//! [`crate::simd`] can dispatch to, with the tile shape measured fastest on
+//! a 4096 × 512, `B = 5` Gram for that ISA:
+//!
+//! | ISA | tile `R × C` | accumulator registers |
+//! |---|---|---|
+//! | baseline (SSE2) | 4 × 4 | 8 xmm |
+//! | AVX2 | 2 × 8 | 4 ymm |
+//! | AVX-512F | 4 × 16 | 8 zmm |
+//!
+//! Column tiles start on a `C`-aligned boundary (`jt - (jt - j0) % C`)
+//! rather than at the row tile's first column; entries left of the
+//! diagonal are computed and discarded. Since `C` divides [`GRAM_BAND`],
+//! a `p` that is a multiple of `C` (fig2's 512) has no ragged column tile.
+//!
+//! Every shape and every ISA gives the same bits. Each output element is
+//! accumulated as `acc += (w * x_j) * x_c` over the panel's nonzero rows
+//! in ascending order, starting from a fresh `0.0`, and then added into
+//! the output block once per panel. The tile shape only decides which
+//! elements share a pass over the rows, never the order of any one
+//! element's operations, and the bodies contain no `mul_add` or
+//! `std::arch` intrinsic (Rust never fuses `a * b + c` on its own).
 //!
 //! ## Determinism
 //!
@@ -33,7 +58,7 @@
 //! depend on the worker count of the fork-join ([`crate::par`]), on which
 //! other resamples share the batch, or on whether the serial fallback
 //! ran. `batch([w])` is bit-identical to the same `w` inside a larger
-//! batch.
+//! batch, and every result is bit-identical under every ISA.
 //!
 //! The public wrappers ([`gram_batch`], [`gram_rhs_batch`],
 //! [`syrk_t_upper`], ...) run the bands on the calling thread; only
@@ -41,6 +66,7 @@
 
 use crate::dense::Matrix;
 use crate::kernels;
+use crate::simd::{self, Isa};
 use std::cell::Cell;
 
 /// Height (in rows of `X`) of one packed panel.
@@ -52,9 +78,6 @@ pub const GRAM_PANEL_ROWS: usize = 64;
 
 /// Width (in Gram rows) of one band; a band is the unit of parallelism.
 pub const GRAM_BAND: usize = 64;
-
-/// Register tile edge — matches the 4-lane unroll of [`crate::kernels`].
-const TILE: usize = 4;
 
 /// Kernel identifier recorded in run reports so a benchmark snapshot is
 /// self-describing about which Gram engine produced it.
@@ -147,7 +170,13 @@ type WeightOpt<'a> = Option<&'a [f64]>;
 
 /// Compute band `j0..j1` of every resample's Gram (and rhs segment) by
 /// packing each row panel once and sweeping it `B` times from cache.
-fn band_body(a: &Matrix, weights: &[WeightOpt<'_>], y: Option<&[f64]>, task: &mut BandTask<'_>) {
+fn band_body(
+    isa: Isa,
+    a: &Matrix,
+    weights: &[WeightOpt<'_>],
+    y: Option<&[f64]>,
+    task: &mut BandTask<'_>,
+) {
     let (n, p) = a.shape();
     let (j0, j1) = (task.j0, task.j1);
     let stride = p - j0;
@@ -182,7 +211,7 @@ fn band_body(a: &Matrix, weights: &[WeightOpt<'_>], y: Option<&[f64]>, task: &mu
             if nz[k].is_empty() {
                 continue;
             }
-            tile_sweep(&packed, stride, &nz[k], j0, j1, p, task.blocks[k]);
+            tile_sweep(isa, &packed, &nz[k], j0, j1, p, task.blocks[k]);
             if let Some(y) = y {
                 let seg = &mut *task.rhs[k];
                 for &(r, wv) in &nz[k] {
@@ -198,82 +227,128 @@ fn band_body(a: &Matrix, weights: &[WeightOpt<'_>], y: Option<&[f64]>, task: &mu
     }
 }
 
-/// 4×4 register-tiled sweep of one packed panel over the band's upper
-/// triangle tiles for a single resample.
+/// Register tile (Gram rows × Gram columns) of the baseline instantiation:
+/// 16 accumulators in 8 SSE2 registers.
+const BASE_TILE: (usize, usize) = (4, 4);
+/// AVX2 tile: 2 rows × 8 columns, 16 accumulators in 4 ymm registers.
+#[cfg(target_arch = "x86_64")]
+const AVX2_TILE: (usize, usize) = (2, 8);
+/// AVX-512 tile: 4 rows × 16 columns, 64 accumulators in 8 zmm registers.
+#[cfg(target_arch = "x86_64")]
+const AVX512_TILE: (usize, usize) = (4, 16);
+
+/// Sweep one packed panel over the band's upper-triangle tiles for a single
+/// resample, with the micro-kernel compiled for `isa`.
 fn tile_sweep(
+    isa: Isa,
     packed: &[f64],
-    stride: usize,
     nz: &[(u32, f64)],
     j0: usize,
     j1: usize,
     p: usize,
     block: &mut [f64],
 ) {
+    assert!(
+        isa.is_supported(),
+        "{} is not supported on this host",
+        isa.name()
+    );
+    match isa {
+        Isa::Baseline => {
+            tile_sweep_rc::<{ BASE_TILE.0 }, { BASE_TILE.1 }>(packed, nz, j0, j1, p, block)
+        }
+        // SAFETY: the assertion above proved the host supports AVX2.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { tile_sweep_avx2(packed, nz, j0, j1, p, block) },
+        // SAFETY: the assertion above proved the host supports AVX-512F.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { tile_sweep_avx512(packed, nz, j0, j1, p, block) },
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn tile_sweep_avx2(
+    packed: &[f64],
+    nz: &[(u32, f64)],
+    j0: usize,
+    j1: usize,
+    p: usize,
+    block: &mut [f64],
+) {
+    tile_sweep_rc::<{ AVX2_TILE.0 }, { AVX2_TILE.1 }>(packed, nz, j0, j1, p, block)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn tile_sweep_avx512(
+    packed: &[f64],
+    nz: &[(u32, f64)],
+    j0: usize,
+    j1: usize,
+    p: usize,
+    block: &mut [f64],
+) {
+    tile_sweep_rc::<{ AVX512_TILE.0 }, { AVX512_TILE.1 }>(packed, nz, j0, j1, p, block)
+}
+
+/// `R × C` register-tiled sweep: for every tile of Gram rows `jt..jt+R`
+/// and columns `ct..ct+C` on or right of the diagonal, accumulate
+/// `(w * x_j) * x_c` over the panel's nonzero rows in ascending order from
+/// a fresh zero, then add each upper-triangle entry into `block` once.
+/// Column tiles start on a `C`-aligned boundary; entries left of the
+/// diagonal are computed and discarded.
+#[inline(always)]
+fn tile_sweep_rc<const R: usize, const C: usize>(
+    packed: &[f64],
+    nz: &[(u32, f64)],
+    j0: usize,
+    j1: usize,
+    p: usize,
+    block: &mut [f64],
+) {
+    let stride = p - j0;
     let mut jt = j0;
     while jt < j1 {
-        let jh = (jt + TILE).min(j1);
-        let mh = jh - jt;
-        let mut ct = jt;
+        let mh = R.min(j1 - jt);
+        let mut ct = jt - (jt - j0) % C;
         while ct < p {
-            let ch = (ct + TILE).min(p);
-            let nw = ch - ct;
-            if mh == TILE && nw == TILE {
-                // Full tile: 16 register accumulators, unrolled lanes.
-                let mut acc = [[0.0f64; TILE]; TILE];
+            let nw = C.min(p - ct);
+            let mut acc = [[0.0f64; C]; R];
+            if mh == R && nw == C {
                 for &(r, wv) in nz {
-                    let base = r as usize * stride;
-                    let lj = &packed[base + (jt - j0)..base + (jt - j0) + TILE];
-                    let lc = &packed[base + (ct - j0)..base + (ct - j0) + TILE];
-                    for rr in 0..TILE {
+                    let row = &packed[r as usize * stride..][..stride];
+                    let lj: &[f64; R] = row[jt - j0..][..R].try_into().expect("R-wide slice");
+                    let lc: &[f64; C] = row[ct - j0..][..C].try_into().expect("C-wide slice");
+                    for rr in 0..R {
                         let s = wv * lj[rr];
-                        acc[rr][0] += s * lc[0];
-                        acc[rr][1] += s * lc[1];
-                        acc[rr][2] += s * lc[2];
-                        acc[rr][3] += s * lc[3];
-                    }
-                }
-                for rr in 0..TILE {
-                    let j = jt + rr;
-                    let row = &mut block[(j - j0) * p..(j - j0) * p + p];
-                    if ct >= j {
-                        row[ct] += acc[rr][0];
-                        row[ct + 1] += acc[rr][1];
-                        row[ct + 2] += acc[rr][2];
-                        row[ct + 3] += acc[rr][3];
-                    } else {
-                        // Diagonal tile: keep only the upper part.
-                        for cc in 0..TILE {
-                            if ct + cc >= j {
-                                row[ct + cc] += acc[rr][cc];
-                            }
+                        for cc in 0..C {
+                            acc[rr][cc] += s * lc[cc];
                         }
                     }
                 }
             } else {
-                // Ragged edge tile: same bracketing, generic bounds.
-                let mut acc = [[0.0f64; TILE]; TILE];
+                // Ragged edge tile: same bracketing, runtime bounds.
                 for &(r, wv) in nz {
-                    let base = r as usize * stride;
+                    let row = &packed[r as usize * stride..][..stride];
                     for rr in 0..mh {
-                        let s = wv * packed[base + (jt - j0) + rr];
+                        let s = wv * row[jt - j0 + rr];
                         for cc in 0..nw {
-                            acc[rr][cc] += s * packed[base + (ct - j0) + cc];
-                        }
-                    }
-                }
-                for rr in 0..mh {
-                    let j = jt + rr;
-                    let row = &mut block[(j - j0) * p..(j - j0) * p + p];
-                    for cc in 0..nw {
-                        if ct + cc >= j {
-                            row[ct + cc] += acc[rr][cc];
+                            acc[rr][cc] += s * row[ct - j0 + cc];
                         }
                     }
                 }
             }
-            ct = ch;
+            for rr in 0..mh {
+                let j = jt + rr;
+                let out = &mut block[(j - j0) * p..][..p];
+                for cc in ct.max(j) - ct..nw {
+                    out[ct + cc] += acc[rr][cc];
+                }
+            }
+            ct += C;
         }
-        jt = jh;
+        jt += R;
     }
 }
 
@@ -286,7 +361,7 @@ fn batch_core(
     y: Option<&[f64]>,
     workers: usize,
 ) -> (Vec<UpperGram>, Vec<Vec<f64>>) {
-    batch_core_scheduled(a, weights, y, workers, None)
+    batch_core_scheduled(simd::isa(), a, weights, y, workers, None)
 }
 
 /// Like [`batch_core`], but with an optional explicit band execution
@@ -294,6 +369,7 @@ fn batch_core(
 /// owning task, any schedule — any thread count, any completion order —
 /// must produce bit-identical results.
 fn batch_core_scheduled(
+    isa: Isa,
     a: &Matrix,
     weights: &[WeightOpt<'_>],
     y: Option<&[f64]>,
@@ -342,13 +418,15 @@ fn batch_core_scheduled(
         if let Some(order) = order {
             debug_assert_eq!(order.len(), tasks.len());
             for &ti in order {
-                band_body(a, weights, y, &mut tasks[ti]);
+                band_body(isa, a, weights, y, &mut tasks[ti]);
             }
         } else if flops >= 1 << 18 && workers > 1 {
-            crate::par::map(workers, tasks, |mut t| band_body(a, weights, y, &mut t));
+            crate::par::map(workers, tasks, |mut t| {
+                band_body(isa, a, weights, y, &mut t)
+            });
         } else {
             for t in tasks.iter_mut() {
-                band_body(a, weights, y, t);
+                band_body(isa, a, weights, y, t);
             }
         }
     }
@@ -388,6 +466,24 @@ pub fn gram_rhs_batch_par(
 ) -> Vec<(UpperGram, Vec<f64>)> {
     let opts: Vec<WeightOpt<'_>> = weights.iter().map(|w| Some(*w)).collect();
     let (grams, rhs) = batch_core(a, &opts, Some(y), workers);
+    grams.into_iter().zip(rhs).collect()
+}
+
+/// [`gram_rhs_batch`] with the tile sweep compiled for `isa` instead of
+/// the detected [`simd::isa`]: the per-ISA benchmark and identity-test
+/// hook. Bit-identical to [`gram_rhs_batch`] for every `isa`.
+///
+/// # Panics
+///
+/// If the host does not support `isa` (see [`Isa::is_supported`]).
+pub fn gram_rhs_batch_with_isa(
+    isa: Isa,
+    a: &Matrix,
+    y: &[f64],
+    weights: &[&[f64]],
+) -> Vec<(UpperGram, Vec<f64>)> {
+    let opts: Vec<WeightOpt<'_>> = weights.iter().map(|w| Some(*w)).collect();
+    let (grams, rhs) = batch_core_scheduled(isa, a, &opts, Some(y), 1, None);
     grams.into_iter().zip(rhs).collect()
 }
 
@@ -589,7 +685,7 @@ mod tests {
         let y: Vec<f64> = (0..300).map(|i| (i as f64 * 0.07).sin()).collect();
         let n_bands = 160usize.div_ceil(GRAM_BAND);
         assert!(n_bands >= 3, "test shape must span several bands");
-        let reference = batch_core_scheduled(&a, &opts, Some(&y), 1, None);
+        let reference = batch_core_scheduled(simd::isa(), &a, &opts, Some(&y), 1, None);
         let want: Vec<(Vec<f64>, Vec<f64>)> = reference
             .0
             .into_iter()
@@ -604,7 +700,7 @@ mod tests {
             for t in 0..threads {
                 order.extend((t..n_bands).step_by(threads));
             }
-            let got = batch_core_scheduled(&a, &opts, Some(&y), 1, Some(&order));
+            let got = batch_core_scheduled(simd::isa(), &a, &opts, Some(&y), 1, Some(&order));
             let got: Vec<(Vec<f64>, Vec<f64>)> = got
                 .0
                 .into_iter()
@@ -621,6 +717,62 @@ mod tests {
                 .map(|(g, r)| (g.into_upper().into_vec(), r))
                 .collect();
             assert_eq!(got, want, "{workers}-worker fork-join diverged");
+        }
+    }
+
+    /// Equal bits, or NaN on both sides: NaN payloads may legally differ
+    /// between instruction sets, so NaN is compared by class only.
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// `demo_matrix` salted with ±0, subnormals and magnitudes whose
+    /// pairwise products overflow, each on a sparse hash-chosen subset so
+    /// most Gram entries stay finite and sensitive to rounding.
+    fn adversarial_matrix(n: usize, p: usize, seed: u64) -> Matrix {
+        let mut a = demo_matrix(n, p, seed);
+        for (k, v) in a.as_mut_slice().iter_mut().enumerate() {
+            match (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58 {
+                0 => *v = 0.0,
+                1 => *v = -0.0,
+                2 => *v *= 1e-310,
+                3 => *v = f64::from_bits(1 + k as u64 % 7) * if k % 2 == 0 { 1.0 } else { -1.0 },
+                4 if k % 3 == 0 => *v *= 1e300,
+                _ => {}
+            }
+        }
+        a
+    }
+
+    #[test]
+    fn every_isa_bit_identical_to_baseline() {
+        let isas: Vec<Isa> = Isa::supported().collect();
+        let names: Vec<&str> = isas.iter().map(|i| i.name()).collect();
+        println!("gram ISA identity covers: {}", names.join(", "));
+        for p in [1usize, 3, 4, 15, 16, 17, 31, 63, 64, 65, 130, 512] {
+            for n in [1usize, 63, 64, 65, 200] {
+                let a = adversarial_matrix(n, p, (n * 1000 + p) as u64);
+                let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.23).sin()).collect();
+                let ws: Vec<Vec<f64>> = (0..3)
+                    .map(|k| demo_weights(n, (n + p + k) as u64))
+                    .collect();
+                let refs: Vec<&[f64]> = ws.iter().map(|w| w.as_slice()).collect();
+                let want = gram_rhs_batch_with_isa(Isa::Baseline, &a, &y, &refs);
+                for &isa in &isas {
+                    let got = gram_rhs_batch_with_isa(isa, &a, &y, &refs);
+                    for ((g, gr), (w, wr)) in got.iter().zip(&want) {
+                        let gs = g.upper().as_slice().iter().chain(gr);
+                        let ws = w.upper().as_slice().iter().chain(wr);
+                        for (e, (x, z)) in gs.zip(ws).enumerate() {
+                            assert!(
+                                same_bits(*x, *z),
+                                "{} n={n} p={p} entry {e}: {x:e} vs baseline {z:e}",
+                                isa.name()
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

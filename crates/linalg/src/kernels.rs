@@ -2,8 +2,11 @@
 //!
 //! These are the hot loops of the ADMM x-/z-updates, written with explicit
 //! 4-lane unrolling ([`LANES`]) so LLVM vectorises them without fast-math,
-//! plus a scalar remainder loop for the tail. Every kernel follows the same
-//! conventions:
+//! plus a scalar remainder loop for the tail. They compile for the
+//! target's baseline ISA only — on x86-64 that is SSE2, so the four lanes
+//! run as two 2-wide registers; only the Gram tile sweep and the panel
+//! solve have AVX2/AVX-512 builds ([`crate::simd`]). Every kernel follows
+//! the same conventions:
 //!
 //! * inputs first, caller-provided output slice last — no allocating
 //!   variants, no `_into`/`_t`/`_weighted` suffix soup;
@@ -31,8 +34,9 @@
 use crate::dense::Matrix;
 
 /// Lane width of the explicit unrolling: four independent f64 accumulators
-/// per loop, matching one AVX2 register (4 × f64) and splitting cleanly
-/// across two NEON registers.
+/// per loop. The default x86-64 target has 2-lane SSE2 registers, so the
+/// four lanes occupy two of them (likewise two NEON registers on aarch64);
+/// the accumulator count, not the register width, fixes the bits.
 pub const LANES: usize = 4;
 
 /// Column-block edge for [`symv`]: a 128-column panel of `x`/`out` (two

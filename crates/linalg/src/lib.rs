@@ -20,12 +20,17 @@
 //! * [`eig`] — companion-matrix spectral radius for the VAR stability
 //!   constraint of eq. 6;
 //! * [`par`] — the deterministic scoped fork-join the serial pipelines
-//!   use for task-grain in-rank threading.
+//!   use for task-grain in-rank threading;
+//! * [`simd`] — the run-time ISA probe that picks the AVX-512, AVX2 or
+//!   baseline build of the Gram tile sweep and the panel solve.
 
 // Numeric kernels index by position on purpose: the loops mirror the
 // textbook algorithms (Cholesky, Householder, blocked gemm) and iterator
 // rewrites obscure the math without changing the codegen.
 #![allow(clippy::needless_range_loop)]
+// The only `unsafe` in the workspace is the call into a `#[target_feature]`
+// instantiation after its ISA was detected; each carries its proof.
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod blas;
 pub mod chol;
@@ -37,6 +42,7 @@ pub mod kron;
 pub mod par;
 pub mod qr;
 pub mod resilience;
+pub mod simd;
 pub mod sparse;
 pub mod testgen;
 

@@ -16,6 +16,7 @@
 //! * [`prox`] — soft-threshold / MCP proximal maps;
 //! * [`diagnostics`] — KKT-based optimality certificates used in tests.
 
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)]
 
 pub mod admm;
