@@ -4,8 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use uoi_data::{VarConfig, VarProcess};
 use uoi_linalg::simd::Isa;
 use uoi_linalg::{gemm, gemv, gemv_t, kernels, syrk_t, Cholesky, CsrMatrix, IdentityKron, Matrix};
+use uoi_solvers::{geometric_grid, AdmmConfig, LassoAdmm, PathSchedule};
 
 fn matrix(n: usize, p: usize, seed: usize) -> Matrix {
     Matrix::from_fn(n, p, |i, j| {
@@ -129,31 +131,27 @@ fn bench_multi_rhs_solve(c: &mut Criterion) {
     // (a lockstep round) vs one substitution per RHS. `fused` includes the
     // copies into and out of the lane-major panel; `panel` is the
     // interleaved substitution alone, as the lockstep solvers call it.
-    // (128, 1) guards the single-RHS case, (128, 64) is a `var_granger`
-    // round over 8 columns x 8 lambdas (two lockstep blocks' lanes), and
-    // (512, 8) one `lasso_tall` path round. (128, 64) also runs once per
-    // ISA instantiation the host supports (`panel_<isa>`).
+    // (128, 1) guards the single-RHS case, (128, 32) is a full
+    // `var_granger` lockstep window, (128, 64) two of them, and (512, 8)
+    // one `lasso_tall` path round. The `panel_<isa>/<order>x<m>` sweep
+    // times the same solve compiled for each ISA this host runs, at the
+    // widths a lockstep window passes through as it drains: the data the
+    // per-ISA register-group shapes are chosen from.
     let mut g = c.benchmark_group("multi_rhs_solve");
     for &(p, nrhs) in &[
         (64usize, 8usize),
         (128, 16),
         (256, 33),
         (128, 1),
+        (128, 32),
         (128, 64),
         (512, 8),
     ] {
-        let x = matrix(2 * p, p, 11);
-        let mut gram = syrk_t(&x);
-        for i in 0..p {
-            gram[(i, i)] += 1.0;
-        }
-        let ch = Cholesky::factor(&gram).unwrap();
+        let ch = Cholesky::factor(&spd(p)).unwrap();
         let rhs: Vec<Vec<f64>> = (0..nrhs)
             .map(|k| (0..p).map(|i| ((i + k) as f64 * 0.19).sin()).collect())
             .collect();
-        let panel: Vec<f64> = (0..p * nrhs)
-            .map(|e| rhs[e % nrhs][e / nrhs])
-            .collect();
+        let panel: Vec<f64> = (0..p * nrhs).map(|e| rhs[e % nrhs][e / nrhs]).collect();
         g.throughput(Throughput::Elements((p * p * nrhs) as u64));
         let id = format!("{p}x{nrhs}");
         g.bench_with_input(BenchmarkId::new("fused", &id), &p, |b, _| {
@@ -171,19 +169,6 @@ fn bench_multi_rhs_solve(c: &mut Criterion) {
                 ch.solve_panel_in_place(black_box(&mut work), nrhs);
             })
         });
-        if (p, nrhs) == (128, 64) {
-            // The same panel solve compiled for each ISA this host runs.
-            for isa in Isa::supported() {
-                let name = format!("panel_{}", isa.name());
-                g.bench_with_input(BenchmarkId::new(name, &id), &p, |b, _| {
-                    let mut work = panel.clone();
-                    b.iter(|| {
-                        work.copy_from_slice(&panel);
-                        ch.solve_panel_in_place_with_isa(isa, black_box(&mut work), nrhs);
-                    })
-                });
-            }
-        }
         g.bench_with_input(BenchmarkId::new("per_rhs", &id), &p, |b, _| {
             b.iter(|| {
                 let mut work = rhs.clone();
@@ -194,6 +179,72 @@ fn bench_multi_rhs_solve(c: &mut Criterion) {
             })
         });
     }
+    for &(p, widths) in &[
+        (128usize, &[1usize, 2, 3, 4, 8, 16, 32, 64][..]),
+        (512, &[1, 8][..]),
+    ] {
+        let ch = Cholesky::factor(&spd(p)).unwrap();
+        for &nrhs in widths {
+            let panel: Vec<f64> = (0..p * nrhs).map(|e| (e as f64 * 0.19).sin()).collect();
+            g.throughput(Throughput::Elements((p * p * nrhs) as u64));
+            for isa in Isa::supported() {
+                let name = format!("panel_{}", isa.name());
+                let id = format!("{p}x{nrhs}");
+                g.bench_with_input(BenchmarkId::new(name, id), &p, |b, _| {
+                    let mut work = panel.clone();
+                    b.iter(|| {
+                        work.copy_from_slice(&panel);
+                        ch.solve_panel_in_place_with_isa(isa, black_box(&mut work), nrhs);
+                    })
+                });
+            }
+        }
+    }
+    g.finish();
+}
+
+/// `X^T X + I` for the deterministic `2p x p` design.
+fn spd(p: usize) -> Matrix {
+    let mut gram = syrk_t(&matrix(2 * p, p, 11));
+    for i in 0..p {
+        gram[(i, i)] += 1.0;
+    }
+    gram
+}
+
+fn bench_var_selection(c: &mut Criterion) {
+    // The solve of one UoI_VAR selection bootstrap at fig7's shape
+    // (p = 128 series, T = 256, q = 8, max_iter 150; the unresampled
+    // lag-1 design stands in for a resample): the p column lambda-paths
+    // over one shared factorisation, fused, on one thread — one lockstep
+    // window from its first refill to its last drain.
+    let (p, t, q) = (128usize, 256usize, 8usize);
+    let series = VarProcess::generate(&VarConfig {
+        p,
+        order: 1,
+        density: 0.05,
+        target_radius: 0.6,
+        noise_std: 1.0,
+        seed: 7,
+    })
+    .simulate(t, 50, 7);
+    let x = Matrix::from_fn(t - 1, p, |i, j| series[(i, j)]);
+    let xtys: Vec<Vec<f64>> = (0..p)
+        .map(|j| gemv_t(&x, &(1..t).map(|i| series[(i, j)]).collect::<Vec<_>>()))
+        .collect();
+    let lmax = xtys.iter().flatten().fold(0.0f64, |m, v| m.max(v.abs()));
+    let lambdas = geometric_grid(lmax, lmax * 0.05, q);
+    let cfg = AdmmConfig {
+        max_iter: 150,
+        schedule: PathSchedule::Fused,
+        ..AdmmConfig::default()
+    };
+    let solver = LassoAdmm::from_gram(syrk_t(&x), cfg);
+    let refs: Vec<&[f64]> = xtys.iter().map(Vec::as_slice).collect();
+    let mut g = c.benchmark_group("var_selection");
+    g.bench_function("fig7_bootstrap", |b| {
+        b.iter(|| solver.solve_paths_with_rhs(black_box(&refs), &lambdas))
+    });
     g.finish();
 }
 
@@ -201,6 +252,6 @@ criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
     targets = bench_gemm, bench_gemv, bench_cholesky, bench_sparse,
-        bench_inner_kernels, bench_symv, bench_multi_rhs_solve
+        bench_inner_kernels, bench_symv, bench_multi_rhs_solve, bench_var_selection
 }
 criterion_main!(kernels);

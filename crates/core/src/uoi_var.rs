@@ -25,9 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use uoi_data::bootstrap::{block_bootstrap, default_block_len, resample_weights};
 use uoi_data::rng::substream;
 use uoi_linalg::{dot, gemv_t_weighted_multi, Matrix};
-use uoi_solvers::{
-    geometric_grid, ols_on_support_gram, support_of, AdmmSolution, LassoAdmm, LOCKSTEP_COLUMNS,
-};
+use uoi_solvers::{geometric_grid, ols_on_support_gram, support_of, AdmmSolution, LassoAdmm};
 use uoi_telemetry::{Telemetry, TraceEvent};
 
 /// Hyperparameters of `UoI_VAR`.
@@ -419,9 +417,10 @@ pub(crate) fn var_selection_weights(
 /// The solve half of [`var_selection_task`]: one shared factorisation of
 /// the (upper-stored) weighted Gram, `p` column paths sharing one pass
 /// over the regression block for their rhs vectors, vectorised support
-/// indices. The column paths run in blocks of [`LOCKSTEP_COLUMNS`]: under
-/// the fused schedule every (column, lambda) problem of a block advances
-/// in one lockstep, one lane-parallel substitution per round.
+/// indices. The column paths run in one contiguous column range per
+/// worker: under the fused schedule the (column, lambda) problems of a
+/// range queue through one lockstep window of [`uoi_solvers::LOCKSTEP_LANES`] slots,
+/// one lane-parallel round per iteration.
 pub(crate) fn var_selection_solve(
     prob: &VarProblem,
     base: &UoiLassoConfig,
@@ -439,19 +438,22 @@ pub(crate) fn var_selection_solve(
         .unwrap_or_else(|| vec![Vec::new(); prob.lambdas.len()])
 }
 
-/// The column paths in blocks of [`LOCKSTEP_COLUMNS`], fanned out over
-/// `workers` threads. Each block runs on a clone of `solver` (the
-/// factorisation is shared) that records into the block's own telemetry
-/// handle; a block records its columns in column order, so the metrics
-/// merge in column order whatever the scheduling.
-fn column_blocks<R: Send>(
+/// The column paths in `workers` contiguous column ranges, one per
+/// worker: each range is one call of `paths`, whose lockstep window
+/// refills from the range's (column, lambda) queue, so it drains once per
+/// bootstrap instead of once per few columns. Each range runs on a clone
+/// of `solver` (the factorisation is shared) that records into the
+/// range's own telemetry handle; a range records its columns in column
+/// order, so the metrics merge in column order whatever the scheduling.
+fn column_ranges<R: Send>(
     tel: &Telemetry,
     solver: &LassoAdmm,
     xtys: &[Vec<f64>],
     workers: usize,
     paths: impl Fn(&LassoAdmm, &[&[f64]]) -> Vec<R> + Sync,
 ) -> Vec<R> {
-    let work: Vec<&[Vec<f64>]> = xtys.chunks(LOCKSTEP_COLUMNS).collect();
+    let range = xtys.len().div_ceil(workers.max(1)).max(1);
+    let work: Vec<&[Vec<f64>]> = xtys.chunks(range).collect();
     crate::uoi_lasso::fan_out(tel, workers, work, |tel, block| {
         let block: Vec<&[f64]> = block.iter().map(Vec::as_slice).collect();
         match tel.metrics() {
@@ -467,7 +469,7 @@ fn column_blocks<R: Send>(
 /// [`var_selection_solve`] with drop semantics: `None` means the task
 /// fell off the end of the numerical fallback ladder. With resilience
 /// disabled this is the historical unguarded solve and never `None`.
-/// The column blocks fan out over `workers` threads.
+/// The column ranges fan out over `workers` threads.
 pub(crate) fn var_selection_solve_checked(
     prob: &VarProblem,
     base: &UoiLassoConfig,
@@ -488,7 +490,7 @@ pub(crate) fn var_selection_solve_checked(
     // Per-column lambda paths: one shared factorisation, p solves.
     let col_sols: Vec<Vec<AdmmSolution>> = if !base.numerical.enabled {
         let solver = LassoAdmm::from_gram(gram, admm);
-        column_blocks(tel, &solver, &xtys, workers, |s, block| {
+        column_ranges(tel, &solver, &xtys, workers, |s, block| {
             s.solve_paths_with_rhs(block, &prob.lambdas)
         })
     } else {
@@ -516,14 +518,14 @@ pub(crate) fn var_selection_solve_checked(
         // One shared factorisation: record its health once, then fold
         // the p column paths' divergence ledgers together (dedup by
         // lambda — several columns may trip on the same lambda). The
-        // guarded column blocks fan out; rho restarts (rare, and cached
+        // guarded column ranges fan out; rho restarts (rare, and cached
         // on the solver) run after the join in column order.
         ledger.note_factor(&base.telemetry, "selection", k, &solver.factor_health());
         let cap = solver.divergence_cap();
-        let guarded = column_blocks(tel, solver.inner(), &xtys, workers, |s, block| {
+        let guarded = column_ranges(tel, solver.inner(), &xtys, workers, |s, block| {
             s.solve_paths_guarded_with_rhs(block, &prob.lambdas, cap)
         });
-    let mut restarts = 0u32;
+        let mut restarts = 0u32;
         let mut recovered = std::collections::BTreeSet::new();
         let mut diverged = std::collections::BTreeSet::new();
         let mut col_sols = Vec::with_capacity(p);
@@ -871,9 +873,9 @@ pub(crate) fn fit_inner(series: &Matrix, cfg: &UoiVarConfig) -> Result<UoiVarFit
     // triaged (fault plan, checkpoint, budget), then every surviving Gram
     // is built in ONE pass over the regression block by the batched
     // engine. The bootstraps then run one after another, each fanning its
-    // p column paths out over `admm.threads` workers in lockstep blocks of
-    // `LOCKSTEP_COLUMNS`: one bootstrap's column solutions are live at a
-    // time.
+    // p column paths out over `admm.threads` workers, one contiguous column
+    // range and one lockstep window each: one bootstrap's column solutions
+    // are live at a time.
     let selection_results: Vec<Option<Vec<Vec<usize>>>> =
         crate::uoi_lasso::traced(&base.telemetry, "uoi_var.selection", || {
             let mut slots: Vec<Option<Vec<Vec<usize>>>> = (0..base.b1).map(|_| None).collect();

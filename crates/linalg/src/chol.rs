@@ -14,9 +14,12 @@
 //! lane repeats the exact single-RHS operation sequence, so every lane is
 //! bit-identical to [`Cholesky::solve_in_place`] on that column. The
 //! factor keeps `L^T` in its otherwise-unused strict upper triangle so the
-//! back pass reads `L`'s columns as contiguous rows.
+//! back pass reads `L`'s columns as contiguous rows. [`Cholesky::admm_round`]
+//! wraps the same substitution in a whole lockstep ADMM round over an
+//! [`AdmmLanes`] window.
 
 use crate::dense::Matrix;
+use crate::kernels::AdmmLanes;
 use crate::simd::{self, Isa};
 
 /// Order below which the unblocked factorisation is used directly.
@@ -270,16 +273,19 @@ impl Cholesky {
     /// entry `k` of right-hand side `c` lives at `panel[k * m + c]`.
     ///
     /// Both substitution passes keep the right-hand-side index innermost,
-    /// in register groups of [`SOLVE_LANES`] lanes plus a narrower
-    /// remainder, so each `L` entry is loaded once per group and the
+    /// in register groups of a per-ISA width plus one narrower remainder
+    /// group, so each `L` entry is loaded once per group and the
     /// group's lanes form independent dependency chains the compiler
-    /// vectorises. The passes run compiled for the detected
-    /// [`simd::isa`]. Each lane performs exactly the operation sequence of
-    /// [`Cholesky::solve_in_place`] (no fused multiply-add, no
-    /// reassociation), so every lane's result is bit-identical to a
-    /// single-RHS solve of that column on every ISA.
+    /// vectorises. The forward pass also runs two rows per sweep, so a
+    /// group keeps two accumulator sets live per `L` column it streams.
+    /// The passes run compiled for the detected [`simd::isa`], except that
+    /// an AVX-512 host solves panels of at most 8 lanes with its AVX2
+    /// build. Each lane performs exactly the
+    /// operation sequence of [`Cholesky::solve_in_place`] (no fused
+    /// multiply-add, no reassociation), so every lane's result is
+    /// bit-identical to a single-RHS solve of that column on every ISA.
     pub fn solve_panel_in_place(&self, panel: &mut [f64], m: usize) {
-        self.solve_panel_in_place_with_isa(simd::isa(), panel, m);
+        self.solve_panel_in_place_with_isa(panel_build(simd::isa(), m), panel, m);
     }
 
     /// [`Cholesky::solve_panel_in_place`] compiled for `isa` instead of the
@@ -305,13 +311,59 @@ impl Cholesky {
             return;
         }
         match isa {
-            Isa::Baseline => solve_panel_lanes(&self.l, panel, m),
+            Isa::Baseline => {
+                solve_panel_lanes::<{ BASELINE[0] }, { BASELINE[1] }>(&self.l, panel, m, m)
+            }
             // SAFETY: the assertion above proved the host supports AVX2.
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { solve_panel_lanes_avx2(&self.l, panel, m) },
+            Isa::Avx2 => unsafe { solve_panel_lanes_avx2(&self.l, panel, m, m) },
             // SAFETY: the assertion above proved the host supports AVX-512F.
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => unsafe { solve_panel_lanes_avx512(&self.l, panel, m) },
+            Isa::Avx512 => unsafe { solve_panel_lanes_avx512(&self.l, panel, m, m) },
+        }
+    }
+
+    /// One lockstep ADMM round over every occupied lane of `lanes`, whose
+    /// x-update system this factor is: the right-hand-side build, the
+    /// panel solve, the z- and u-updates and the residual norms, in one
+    /// call compiled for the detected ISA (dispatched as
+    /// [`Cholesky::solve_panel_in_place`] is). Every lane is bit-identical
+    /// to iterating its problem alone; see [`AdmmLanes`].
+    pub fn admm_round(&self, lanes: &mut AdmmLanes) {
+        self.admm_round_with_isa(panel_build(simd::isa(), lanes.width()), lanes);
+    }
+
+    /// [`Cholesky::admm_round`] compiled for `isa` instead of the detected
+    /// one: the per-ISA identity-test hook.
+    ///
+    /// # Panics
+    ///
+    /// If the host does not support `isa`, or if `lanes` holds problems
+    /// of another order.
+    pub fn admm_round_with_isa(&self, isa: Isa, lanes: &mut AdmmLanes) {
+        assert_eq!(
+            lanes.order(),
+            self.order(),
+            "Cholesky::admm_round: lane order mismatch"
+        );
+        assert!(
+            isa.is_supported(),
+            "{} is not supported on this host",
+            isa.name()
+        );
+        if lanes.width() == 0 {
+            return;
+        }
+        match isa {
+            Isa::Baseline => {
+                admm_round_body::<{ BASELINE[0] }, { BASELINE[1] }, { BASELINE[2] }>(&self.l, lanes)
+            }
+            // SAFETY: the assertion above proved the host supports AVX2.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { admm_round_avx2(&self.l, lanes) },
+            // SAFETY: the assertion above proved the host supports AVX-512F.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { admm_round_avx512(&self.l, lanes) },
         }
     }
 
@@ -372,18 +424,62 @@ pub fn lane(panel: &[f64], m: usize, c: usize) -> impl Iterator<Item = f64> + '_
     panel[c..].iter().step_by(m).copied()
 }
 
-/// Right-hand sides per register group of
-/// [`Cholesky::solve_panel_in_place`]: eight independent accumulation
-/// chains per `L` entry loaded — one zmm register under AVX-512, two ymm
-/// under AVX2, four xmm on the SSE2 baseline. The remainder of a panel
-/// runs as one group each of four, two and one lanes, as far as it needs
-/// them.
-pub const SOLVE_LANES: usize = 8;
+// Lanes per register group of the code each ISA build compiles, as
+// `[forward, back, update]`: the two passes of the panel solve and the
+// z-/u-update stage of `Cholesky::admm_round`. A solve group keeps one
+// accumulator chain per register per row, and the paired forward pass
+// two rows' worth; a single chain is latency-bound, since each subtract
+// waits on the previous one. An update group keeps its twenty partial
+// norm sums in registers. The shapes were chosen by timing candidates on
+// the development host (CHANGES.md): solve groups of 8 lanes (four xmm)
+// on the SSE2 baseline and 16 (four ymm) under AVX2; under AVX-512,
+// 16-lane (two zmm) forward groups, which run two rows and so four
+// chains, and 32-lane (four zmm) back groups, which cannot pair rows.
+// 32-lane forward groups and single 24- to 31-lane groups ran slower, so
+// a back-pass remainder wider than the forward group runs as one
+// forward-width group plus one narrower group. Update groups of 8 lanes
+// beat 4 and 16 under AVX2 and AVX-512, and 4 beat 2 and 1 on the
+// baseline.
+pub(crate) const BASELINE: [usize; 3] = [8, 8, 4];
+#[cfg(target_arch = "x86_64")]
+const AVX2: [usize; 3] = [16, 16, 8];
+#[cfg(target_arch = "x86_64")]
+const AVX512: [usize; 3] = [16, 32, 8];
 
-/// One substitution step for lanes `c0..c0 + W` of a lane-major panel:
-/// `s = b[c]; s -= coef[k] * rows[k][c]` for each `k` in order, then
-/// `b[c] = s / d`. This is the single-RHS step of [`forward_substitute`] /
-/// [`back_substitute_transposed`], run for `W` lanes side by side.
+/// Right-hand sides per register group of the panel solve in the widest
+/// group any build of this target uses.
+#[cfg(target_arch = "x86_64")]
+pub const SOLVE_LANES: usize = AVX512[1];
+/// Right-hand sides per register group of the panel solve in the widest
+/// group any build of this target uses.
+#[cfg(not(target_arch = "x86_64"))]
+pub const SOLVE_LANES: usize = BASELINE[1];
+
+/// Panels of at most this many lanes run the AVX2 build on an AVX-512
+/// host: eight lanes are one zmm chain per row but two ymm chains, and
+/// the back pass cannot pair rows, so the narrower registers finish
+/// first (solve of 128 x 8: 15.9 us against 31.3 us; 512 x 8: 229 us
+/// against 321 us).
+const AVX512_MIN_LANES: usize = 8;
+
+/// The build a panel of `m` lanes runs on a host whose widest ISA is
+/// `isa`: `isa` itself, except that panels of at most
+/// [`AVX512_MIN_LANES`] lanes drop from AVX-512 to AVX2 (measured in
+/// CHANGES.md). Every build is bit-identical, so this choice moves time
+/// only.
+fn panel_build(isa: Isa, m: usize) -> Isa {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 if m <= AVX512_MIN_LANES => Isa::Avx2,
+        other => other,
+    }
+}
+
+/// One substitution step for lanes `c0..c0 + W` of a lane-major panel
+/// with row stride `stride`: `s = b[c]; s -= coef[k] * rows[k][c]` for
+/// each `k` in order, then `b[c] = s / d`. This is the single-RHS step of
+/// [`forward_substitute`] / [`back_substitute_transposed`], run for `W`
+/// lanes side by side.
 #[inline(always)]
 fn lane_group<const W: usize>(
     coef: &[f64],
@@ -405,68 +501,135 @@ fn lane_group<const W: usize>(
     }
 }
 
-/// One row of a lane-major substitution pass: [`lane_group`] over lanes
-/// `0..m` in groups of [`SOLVE_LANES`], then 4, 2 and 1.
+/// Forward substitution of rows `i` and `i + 1` for lanes `c0..c0 + W`.
+/// Both rows' terms `k < i` run in one sweep over the solved rows (two
+/// chains per lane, one load of each solved row); row `i` is divided, and
+/// only then does row `i + 1` take its `k = i` term and its divide. Each
+/// lane therefore performs exactly the single-RHS sequence of both rows.
 #[inline(always)]
-fn lane_row(coef: &[f64], rows: &[f64], b: &mut [f64], m: usize, d: f64) {
-    let mut c0 = 0;
-    while m - c0 >= SOLVE_LANES {
-        lane_group::<SOLVE_LANES>(coef, rows.chunks_exact(m), b, c0, d);
-        c0 += SOLVE_LANES;
+fn forward_pair<const W: usize>(
+    ri: &[f64],
+    rj: &[f64],
+    panel: &mut [f64],
+    stride: usize,
+    c0: usize,
+    i: usize,
+) {
+    let (done, rest) = panel.split_at_mut(i * stride);
+    let (bi, bj) = rest.split_at_mut(stride);
+    let mut s = [0.0; W];
+    let mut t = [0.0; W];
+    s.copy_from_slice(&bi[c0..c0 + W]);
+    t.copy_from_slice(&bj[c0..c0 + W]);
+    for ((a, b), bk) in ri[..i].iter().zip(&rj[..i]).zip(done.chunks_exact(stride)) {
+        let bk = &bk[c0..c0 + W];
+        for c in 0..W {
+            s[c] -= a * bk[c];
+            t[c] -= b * bk[c];
+        }
     }
-    if m - c0 >= 4 {
-        lane_group::<4>(coef, rows.chunks_exact(m), b, c0, d);
-        c0 += 4;
+    let (d, e, f) = (ri[i], rj[i], rj[i + 1]);
+    for c in 0..W {
+        s[c] /= d;
     }
-    if m - c0 >= 2 {
-        lane_group::<2>(coef, rows.chunks_exact(m), b, c0, d);
-        c0 += 2;
+    for c in 0..W {
+        t[c] -= e * s[c];
     }
-    if m - c0 == 1 {
-        lane_group::<1>(coef, rows.chunks_exact(m), b, c0, d);
+    for c in 0..W {
+        t[c] /= f;
     }
+    bi[c0..c0 + W].copy_from_slice(&s);
+    bj[c0..c0 + W].copy_from_slice(&t);
 }
 
-/// Both lane-major substitution passes over `m` right-hand sides: the
-/// body every ISA instantiation of the panel solve compiles.
+/// Both lane-major substitution passes over lanes `0..m` of a panel with
+/// row stride `stride >= m`, in register groups of `F` (forward) and `B`
+/// (back) lanes plus one remainder group each: the body every ISA
+/// instantiation of the panel solve compiles.
 #[inline(always)]
-fn solve_panel_lanes(l: &Matrix, panel: &mut [f64], m: usize) {
-    forward_substitute_lanes(l, panel, m);
-    back_substitute_transposed_lanes(l, panel, m);
+fn solve_panel_lanes<const F: usize, const B: usize>(
+    l: &Matrix,
+    panel: &mut [f64],
+    stride: usize,
+    m: usize,
+) {
+    let n = l.rows();
+    let full = m - m % F;
+    // Forward: `L y = b`, two rows per sweep, then a single tail row.
+    let mut i = 0;
+    while i + 1 < n {
+        let (ri, rj) = (l.row(i), l.row(i + 1));
+        for c0 in (0..full).step_by(F) {
+            forward_pair::<F>(ri, rj, panel, stride, c0, i);
+        }
+        with_width!(m - full, R => forward_pair::<R>(ri, rj, panel, stride, full, i));
+        i += 2;
+    }
+    if i < n {
+        let row = l.row(i);
+        let (done, rest) = panel.split_at_mut(i * stride);
+        let b = &mut rest[..stride];
+        for c0 in (0..full).step_by(F) {
+            lane_group::<F>(&row[..i], done.chunks_exact(stride), b, c0, row[i]);
+        }
+        with_width!(m - full, R => lane_group::<R>(&row[..i], done.chunks_exact(stride), b, full, row[i]));
+    }
+    // Back: `L^T x = y`. Row `i` right of the diagonal holds column `i`
+    // of `L` below it, and row `i - 1` needs row `i`'s result as its first
+    // term, so this pass can only widen across lanes.
+    // Full groups of `B`, then (when `B > F`) one group of `F`, then one
+    // narrower group: remainders wider than `F` ran slower as one group.
+    let full = m - m % B;
+    let mid = if m - full >= F { full + F } else { full };
+    for i in (0..n).rev() {
+        let row = l.row(i);
+        let (head, tail) = panel.split_at_mut((i + 1) * stride);
+        let b = &mut head[i * stride..];
+        for c0 in (0..full).step_by(B) {
+            lane_group::<B>(&row[i + 1..], tail.chunks_exact(stride), b, c0, row[i]);
+        }
+        if mid > full {
+            lane_group::<F>(&row[i + 1..], tail.chunks_exact(stride), b, full, row[i]);
+        }
+        with_width!(m - mid, R => lane_group::<R>(&row[i + 1..], tail.chunks_exact(stride), b, mid, row[i]));
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn solve_panel_lanes_avx2(l: &Matrix, panel: &mut [f64], m: usize) {
-    solve_panel_lanes(l, panel, m)
+fn solve_panel_lanes_avx2(l: &Matrix, panel: &mut [f64], stride: usize, m: usize) {
+    solve_panel_lanes::<{ AVX2[0] }, { AVX2[1] }>(l, panel, stride, m)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn solve_panel_lanes_avx512(l: &Matrix, panel: &mut [f64], m: usize) {
-    solve_panel_lanes(l, panel, m)
+fn solve_panel_lanes_avx512(l: &Matrix, panel: &mut [f64], stride: usize, m: usize) {
+    solve_panel_lanes::<{ AVX512[0] }, { AVX512[1] }>(l, panel, stride, m)
 }
 
-/// Lane-major [`forward_substitute`] over `m` right-hand sides.
+/// One lockstep ADMM round (see [`AdmmLanes`]): the body every ISA
+/// instantiation of [`Cholesky::admm_round`] compiles.
 #[inline(always)]
-fn forward_substitute_lanes(l: &Matrix, panel: &mut [f64], m: usize) {
-    for i in 0..l.rows() {
-        let row = l.row(i);
-        let (done, rest) = panel.split_at_mut(i * m);
-        lane_row(&row[..i], done, &mut rest[..m], m, row[i]);
-    }
+fn admm_round_body<const F: usize, const B: usize, const U: usize>(
+    l: &Matrix,
+    lanes: &mut AdmmLanes,
+) {
+    lanes.build_rhs_body();
+    let (slots, m) = (lanes.slots(), lanes.width());
+    solve_panel_lanes::<F, B>(l, lanes.x_mut(), slots, m);
+    lanes.update_body::<U>();
 }
 
-/// Lane-major [`back_substitute_transposed`] over `m` right-hand sides.
-/// `l` is a [`Cholesky`] store: row `i` right of the diagonal holds
-/// column `i` of `L` below it.
-#[inline(always)]
-fn back_substitute_transposed_lanes(l: &Matrix, panel: &mut [f64], m: usize) {
-    for i in (0..l.rows()).rev() {
-        let row = l.row(i);
-        let (head, tail) = panel.split_at_mut((i + 1) * m);
-        lane_row(&row[i + 1..], tail, &mut head[i * m..], m, row[i]);
-    }
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn admm_round_avx2(l: &Matrix, lanes: &mut AdmmLanes) {
+    admm_round_body::<{ AVX2[0] }, { AVX2[1] }, { AVX2[2] }>(l, lanes)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn admm_round_avx512(l: &Matrix, lanes: &mut AdmmLanes) {
+    admm_round_body::<{ AVX512[0] }, { AVX512[1] }, { AVX512[2] }>(l, lanes)
 }
 
 /// Convenience: solve the SPD system `a x = b` with a one-shot factorisation.
@@ -670,12 +833,32 @@ mod tests {
                 _ => v,
             }
         };
-        for n in [1usize, 2, 63, 128, 129, 300] {
+        // Odd orders end the paired forward pass on a single row; 512 is
+        // the `lasso_tall` order. Widths 0..=70 cover every register-group
+        // shape of every build: full groups, each remainder width, and the
+        // narrow panels an AVX-512 host hands to the AVX2 build.
+        for n in [1usize, 2, 3, 5, 63, 128, 129, 300, 512] {
             let ch = Cholesky::factor(&spd_test_matrix(n)).unwrap();
-            for m in 0..=70usize {
+            let widths: Vec<usize> = if n == 512 {
+                vec![0, 1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 70]
+            } else {
+                (0..=70).collect()
+            };
+            for m in widths {
                 let panel: Vec<f64> = (0..n * m).map(|e| entry(e, m)).collect();
                 let mut want = panel.clone();
                 ch.solve_panel_in_place_with_isa(Isa::Baseline, &mut want, m);
+                // The baseline build itself repeats the single-RHS solve.
+                for c in 0..m {
+                    let mut col: Vec<f64> = lane(&panel, m, c).collect();
+                    ch.solve_in_place(&mut col);
+                    for (k, (g, w)) in lane(&want, m, c).zip(&col).enumerate() {
+                        assert!(
+                            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                            "baseline n={n} m={m} lane {c} row {k}: {g:e} vs single {w:e}"
+                        );
+                    }
+                }
                 for &isa in &isas {
                     let mut got = panel.clone();
                     ch.solve_panel_in_place_with_isa(isa, &mut got, m);
@@ -685,6 +868,110 @@ mod tests {
                             "{} n={n} m={m} entry {e}: {g:e} vs baseline {w:e}",
                             isa.name()
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// One single-lane ADMM iteration in the historical form: rhs build,
+    /// `solve_in_place`, the `kernels` z-update and the `blas` norms.
+    fn admm_step_reference(
+        ch: &Cholesky,
+        rho: f64,
+        kappa: f64,
+        xty: &[f64],
+        z: &mut [f64],
+        u: &mut [f64],
+    ) -> [f64; crate::kernels::ADMM_NORMS] {
+        use crate::blas::{norm2, norm2_diff, norm2_scaled, norm2_scaled_diff};
+        let mut x: Vec<f64> = (0..xty.len())
+            .map(|i| xty[i] + rho * (z[i] - u[i]))
+            .collect();
+        ch.solve_in_place(&mut x);
+        let z_old = z.to_vec();
+        let mut xu = vec![0.0; x.len()];
+        crate::kernels::add(&x, u, &mut xu);
+        if kappa > 0.0 {
+            crate::kernels::soft_threshold(&xu, kappa, z);
+        } else {
+            z.copy_from_slice(&xu);
+        }
+        for ((ui, xi), zi) in u.iter_mut().zip(&x).zip(&*z) {
+            *ui += xi - zi;
+        }
+        [
+            norm2_diff(&x, z),
+            norm2_scaled_diff(rho, z, &z_old),
+            norm2(&x),
+            norm2(z),
+            norm2_scaled(rho, u),
+        ]
+    }
+
+    #[test]
+    fn admm_round_every_isa_bit_identical_to_single_lane() {
+        let same = |g: f64, w: f64| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+        let rho = 1.7;
+        for n in [1usize, 2, 3, 4, 5, 63, 128, 129] {
+            let ch = Cholesky::factor(&spd_test_matrix(n)).unwrap();
+            for m in [0usize, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33] {
+                let entry = |c: usize, k: usize, salt: usize| -> f64 {
+                    let e = (c * 131 + k * 7 + salt) as u64;
+                    let v = ((e * 7 + 3) % 19) as f64 * 0.41 - 3.7;
+                    match e.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => v * 1e-310,
+                        3 if c % 11 == 5 => v * 1e300,
+                        _ => v,
+                    }
+                };
+                let lane_vec = |c: usize, salt: usize| (0..n).map(|k| entry(c, k, salt)).collect();
+                let xty: Vec<Vec<f64>> = (0..m).map(|c| lane_vec(c, 0)).collect();
+                let z0: Vec<Vec<f64>> = (0..m).map(|c| lane_vec(c, 1)).collect();
+                let u0: Vec<Vec<f64>> = (0..m).map(|c| lane_vec(c, 2)).collect();
+                let kappa: Vec<f64> = (0..m)
+                    .map(|c| if c % 3 == 0 { 0.0 } else { 0.3 * c as f64 })
+                    .collect();
+                for isa in Isa::supported() {
+                    for extra in [0, 3] {
+                        let mut lanes = AdmmLanes::new();
+                        lanes.reset(n, m + extra, rho);
+                        for c in 0..m {
+                            lanes.push(&xty[c], kappa[c]);
+                            lanes.set_state(c, &z0[c], &u0[c]);
+                        }
+                        let (mut z, mut u) = (z0.clone(), u0.clone());
+                        // Slot -> lane; the window drops a lane after the
+                        // first round to exercise the swap-remove.
+                        let mut slot_lane: Vec<usize> = (0..m).collect();
+                        for round in 0..3 {
+                            ch.admm_round_with_isa(isa, &mut lanes);
+                            let (mut gz, mut gu) = (vec![0.0; n], vec![0.0; n]);
+                            for (c, &l) in slot_lane.iter().enumerate() {
+                                let what = format!(
+                                    "{} n={n} m={m}+{extra} round {round} lane {l}",
+                                    isa.name()
+                                );
+                                let want = admm_step_reference(
+                                    &ch, rho, kappa[l], &xty[l], &mut z[l], &mut u[l],
+                                );
+                                let got = lanes.norms(c);
+                                for (g, w) in got.iter().zip(&want) {
+                                    assert!(same(*g, *w), "{what}: norm {g:e} vs {w:e}");
+                                }
+                                lanes.state(c, &mut gz, &mut gu);
+                                for k in 0..n {
+                                    assert!(same(gz[k], z[l][k]), "{what}: z[{k}]");
+                                    assert!(same(gu[k], u[l][k]), "{what}: u[{k}]");
+                                }
+                            }
+                            if round == 0 && m >= 2 {
+                                lanes.swap_remove(0);
+                                slot_lane.swap_remove(0);
+                            }
+                        }
                     }
                 }
             }

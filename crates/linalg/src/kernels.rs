@@ -2,11 +2,20 @@
 //!
 //! These are the hot loops of the ADMM x-/z-updates, written with explicit
 //! 4-lane unrolling ([`LANES`]) so LLVM vectorises them without fast-math,
-//! plus a scalar remainder loop for the tail. They compile for the
-//! target's baseline ISA only — on x86-64 that is SSE2, so the four lanes
-//! run as two 2-wide registers; only the Gram tile sweep and the panel
-//! solve have AVX2/AVX-512 builds ([`crate::simd`]). Every kernel follows
-//! the same conventions:
+//! plus a scalar remainder loop for the tail. The single-problem kernels
+//! compile for the target's baseline ISA only — on x86-64 that is SSE2,
+//! so the four lanes run as two 2-wide registers.
+//!
+//! The lockstep solvers keep a window of problems lane-major instead
+//! ([`AdmmLanes`]: `z`, `u`, `X^T y` and the x-update of every lane in
+//! `[k * slots + c]` panels), and a whole round — right-hand sides, the
+//! panel solve, the z-/u-updates and the residual norms — is one body
+//! that [`crate::Cholesky::admm_round`] dispatches once per round to its
+//! AVX-512, AVX2 or baseline build ([`crate::simd`]), like the Gram tile
+//! sweep. The lane-major loops vectorise across lanes, so each lane
+//! keeps the exact operation sequence, and the norms the `k mod 4`
+//! partial sums, of the single-problem kernels. Every kernel follows the
+//! same conventions:
 //!
 //! * inputs first, caller-provided output slice last — no allocating
 //!   variants, no `_into`/`_t`/`_weighted` suffix soup;
@@ -191,6 +200,294 @@ pub fn symv(a: &Matrix, x: &[f64], out: &mut [f64]) {
                 out[i] += acc;
             }
         }
+    }
+}
+
+/// Residual norms the lane-major ADMM round accumulates per lane, in the
+/// order [`AdmmLanes::norms`] returns them.
+pub const ADMM_NORMS: usize = 5;
+
+/// A window of ADMM problems over `p` coefficients that share one
+/// x-update system, stored lane-major: entry `k` of lane `c` lives at
+/// `[k * slots + c]` of each panel, and lanes `0..width` are occupied.
+///
+/// [`crate::Cholesky::admm_round`] advances every occupied lane one ADMM
+/// iteration (Boyd et al. 2011, §6.4) in one dispatched call:
+///
+/// ```text
+/// x = (X^T X + rho I)^{-1} (X^T y + rho (z - u))
+/// z = S_kappa(x + u)            (z = x + u when kappa == 0)
+/// u = u + (x - z)
+/// ```
+///
+/// and the five residual norms of each lane: `||x - z||`,
+/// `||rho (z - z_prev)||`, `||x||`, `||z||` and `||rho u||`. Each lane
+/// performs exactly the operations of the single-problem iteration, in
+/// the same order; each norm keeps the four-accumulator association of
+/// [`crate::blas::norm2_diff`] (terms `k mod 4` summed apart, combined
+/// left to right, then the tail), so every lane is bit-identical to
+/// iterating its problem alone. Lanes move between slots freely
+/// ([`AdmmLanes::swap_remove`]): a lane's arithmetic never depends on its
+/// slot.
+#[derive(Debug, Clone, Default)]
+pub struct AdmmLanes {
+    p: usize,
+    slots: usize,
+    width: usize,
+    rho: f64,
+    /// Soft-threshold level `lambda / rho` per slot.
+    kappa: Vec<f64>,
+    /// `X^T y` per lane.
+    xty: Vec<f64>,
+    z: Vec<f64>,
+    u: Vec<f64>,
+    /// x-update panel: right-hand sides in, solutions out.
+    x: Vec<f64>,
+    /// Finished norms, `[norm * slots + lane]`.
+    norms: Vec<f64>,
+}
+
+impl AdmmLanes {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Empty the window and shape it for up to `slots` lanes of `p`
+    /// coefficients at penalty `rho`. Allocation-free once the window has
+    /// held a shape at least this large.
+    pub fn reset(&mut self, p: usize, slots: usize, rho: f64) {
+        self.p = p;
+        self.slots = slots;
+        self.width = 0;
+        self.rho = rho;
+        for panel in [&mut self.xty, &mut self.z, &mut self.u, &mut self.x] {
+            panel.resize(p * slots, 0.0);
+        }
+        self.kappa.resize(slots, 0.0);
+        self.norms.resize(ADMM_NORMS * slots, 0.0);
+    }
+
+    /// Occupied lanes (`0..width`).
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Lane capacity.
+    pub fn slots(&self) -> usize {
+        self.slots
+    }
+
+    /// Coefficients per lane.
+    pub fn order(&self) -> usize {
+        self.p
+    }
+
+    /// Occupy the next free slot with a cold-started problem (`z = u =
+    /// 0`) of right-hand side `xty` and threshold `kappa`; returns the
+    /// slot.
+    ///
+    /// # Panics
+    ///
+    /// If every slot is occupied.
+    pub fn push(&mut self, xty: &[f64], kappa: f64) -> usize {
+        assert!(self.width < self.slots, "AdmmLanes::push: window full");
+        let c = self.width;
+        self.width += 1;
+        self.load(c, xty, kappa);
+        c
+    }
+
+    /// Replace the problem in occupied slot `c` by a cold-started one.
+    pub fn load(&mut self, c: usize, xty: &[f64], kappa: f64) {
+        assert!(c < self.width, "AdmmLanes::load: slot {c} is free");
+        assert_eq!(xty.len(), self.p, "AdmmLanes::load: rhs length mismatch");
+        let s = self.slots;
+        for (k, &v) in xty.iter().enumerate() {
+            self.xty[k * s + c] = v;
+            self.z[k * s + c] = 0.0;
+            self.u[k * s + c] = 0.0;
+        }
+        self.kappa[c] = kappa;
+    }
+
+    /// Overwrite the iterate `z` and scaled dual `u` of slot `c` (a warm
+    /// start).
+    pub fn set_state(&mut self, c: usize, z: &[f64], u: &[f64]) {
+        assert!(c < self.width, "AdmmLanes::set_state: slot {c} is free");
+        let s = self.slots;
+        for (k, (&zk, &uk)) in z.iter().zip(u).enumerate() {
+            self.z[k * s + c] = zk;
+            self.u[k * s + c] = uk;
+        }
+    }
+
+    /// Copy the iterate `z` and scaled dual `u` of slot `c` out.
+    pub fn state(&self, c: usize, z: &mut [f64], u: &mut [f64]) {
+        let s = self.slots;
+        for (k, (zk, uk)) in z.iter_mut().zip(u.iter_mut()).enumerate() {
+            *zk = self.z[k * s + c];
+            *uk = self.u[k * s + c];
+        }
+    }
+
+    /// Copy the iterate `z` of slot `c` out.
+    pub fn z(&self, c: usize, z: &mut [f64]) {
+        let s = self.slots;
+        for (k, zk) in z.iter_mut().enumerate() {
+            *zk = self.z[k * s + c];
+        }
+    }
+
+    /// Free slot `c` by moving the last occupied lane into it.
+    pub fn swap_remove(&mut self, c: usize) {
+        assert!(c < self.width, "AdmmLanes::swap_remove: slot {c} is free");
+        self.width -= 1;
+        let (last, s) = (self.width, self.slots);
+        if c != last {
+            for panel in [&mut self.xty, &mut self.z, &mut self.u] {
+                for row in panel.chunks_exact_mut(s) {
+                    row[c] = row[last];
+                }
+            }
+            self.kappa[c] = self.kappa[last];
+        }
+    }
+
+    /// The latest round's norms of slot `c`: `||x - z||`,
+    /// `||rho (z - z_prev)||`, `||x||`, `||z||`, `||rho u||`.
+    pub fn norms(&self, c: usize) -> [f64; ADMM_NORMS] {
+        std::array::from_fn(|n| self.norms[n * self.slots + c])
+    }
+
+    /// The x-update panel (`order * slots`, lane-major with row stride
+    /// [`AdmmLanes::slots`]): after [`AdmmLanes::build_rhs`] it holds the
+    /// right-hand sides, and an x-update other than
+    /// [`crate::Cholesky::admm_round`] solves it in place before
+    /// [`AdmmLanes::update`].
+    pub fn x_mut(&mut self) -> &mut [f64] {
+        &mut self.x
+    }
+
+    /// Round stage 1 alone: `x = X^T y + rho (z - u)` for every occupied
+    /// lane.
+    pub fn build_rhs(&mut self) {
+        self.build_rhs_body();
+    }
+
+    /// Round stage 3 alone: the z- and u-updates and the norms, given
+    /// solved x-updates in [`AdmmLanes::x_mut`].
+    pub fn update(&mut self) {
+        self.update_body::<{ crate::chol::BASELINE[2] }>();
+    }
+
+    #[inline(always)]
+    pub(crate) fn build_rhs_body(&mut self) {
+        let (s, m, rho) = (self.slots, self.width, self.rho);
+        for (((x, b), z), u) in self
+            .x
+            .chunks_exact_mut(s)
+            .zip(self.xty.chunks_exact(s))
+            .zip(self.z.chunks_exact(s))
+            .zip(self.u.chunks_exact(s))
+        {
+            let (x, b, z, u) = (&mut x[..m], &b[..m], &z[..m], &u[..m]);
+            for c in 0..m {
+                x[c] = b[c] + rho * (z[c] - u[c]);
+            }
+        }
+    }
+
+    /// Round stage 3 over every occupied lane, in register groups of `G`
+    /// lanes plus one narrower group: each group sweeps the rows once,
+    /// keeping its twenty partial sums (five norms, four `k mod 4`
+    /// partials each) in registers.
+    #[inline(always)]
+    pub(crate) fn update_body<const G: usize>(&mut self) {
+        let m = self.width;
+        let full = m - m % G;
+        for c0 in (0..full).step_by(G) {
+            self.update_group::<G>(c0);
+        }
+        with_width!(m - full, R => self.update_group::<R>(full));
+    }
+
+    /// Stage 3 for lanes `c0..c0 + G`. The four `k mod 4` partial sums
+    /// are four named accumulator sets, so each stays in registers.
+    #[inline(always)]
+    fn update_group<const G: usize>(&mut self, c0: usize) {
+        let (p, s, rho) = (self.p, self.slots, self.rho);
+        let kappa: [f64; G] = std::array::from_fn(|c| self.kappa[c0 + c]);
+        let (x, z, u) = (&self.x[..], &mut self.z[..], &mut self.u[..]);
+        let mut row = |k: usize, acc: &mut [[f64; G]; ADMM_NORMS]| {
+            let at = k * s + c0;
+            update_row(
+                &x[at..at + G],
+                &mut z[at..at + G],
+                &mut u[at..at + G],
+                &kappa,
+                rho,
+                acc,
+            );
+        };
+        // Rows `k < main` feed partial `k mod 4`, as in `norm2_diff`.
+        let main = p - p % LANES;
+        let zero = [[0.0; G]; ADMM_NORMS];
+        let (mut a0, mut a1, mut a2, mut a3) = (zero, zero, zero, zero);
+        for k in (0..main).step_by(LANES) {
+            row(k, &mut a0);
+            row(k + 1, &mut a1);
+            row(k + 2, &mut a2);
+            row(k + 3, &mut a3);
+        }
+        // Combine left to right, then add the tail rows.
+        let mut sum = zero;
+        for n in 0..ADMM_NORMS {
+            for c in 0..G {
+                sum[n][c] = a0[n][c] + a1[n][c] + a2[n][c] + a3[n][c];
+            }
+        }
+        for k in main..p {
+            row(k, &mut sum);
+        }
+        for (n, norm) in sum.iter().enumerate() {
+            for c in 0..G {
+                self.norms[n * s + c0 + c] = norm[c].sqrt();
+            }
+        }
+    }
+}
+
+/// One row of the z-/u-update for `G` lanes, adding the row's five norm
+/// terms into `acc`: the elementwise body of the single-problem
+/// iteration (`kernels::add`, the soft threshold or a copy when
+/// `kappa == 0`, `u += x - z`, and the `norm2_diff` / `norm2_scaled_diff`
+/// / `norm2` / `norm2_scaled` terms).
+#[inline(always)]
+fn update_row<const G: usize>(
+    x: &[f64],
+    z: &mut [f64],
+    u: &mut [f64],
+    kappa: &[f64; G],
+    rho: f64,
+    acc: &mut [[f64; G]; ADMM_NORMS],
+) {
+    let (x, z, u) = (&x[..G], &mut z[..G], &mut u[..G]);
+    for c in 0..G {
+        let (xc, zo, uo, kap) = (x[c], z[c], u[c], kappa[c]);
+        let xu = xc + uo;
+        let shrunk = shrink(xu, kap);
+        let zn = if kap > 0.0 { shrunk } else { xu };
+        let un = uo + (xc - zn);
+        z[c] = zn;
+        u[c] = un;
+        let dr = xc - zn;
+        let ds = rho * (zn - zo);
+        let du = rho * un;
+        acc[0][c] += dr * dr;
+        acc[1][c] += ds * ds;
+        acc[2][c] += xc * xc;
+        acc[3][c] += zn * zn;
+        acc[4][c] += du * du;
     }
 }
 

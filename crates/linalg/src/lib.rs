@@ -32,6 +32,28 @@
 // instantiation after its ISA was detected; each carries its proof.
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
+/// Run `$body` with the const `$w` bound to the runtime width `$r`, for
+/// every remainder width a lane-major register group leaves (`1..16`):
+/// the remainder lanes of the panel solve and of the lockstep round's
+/// update run as one group, as independent chains, rather than as a
+/// sequence of narrower sweeps. `0` does nothing. Arms at or above a
+/// build's group width are unreachable and fold away.
+macro_rules! with_width {
+    ($r:expr, $w:ident => $body:expr) => {
+        with_width!(@arms $r, $w => $body; 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)
+    };
+    (@arms $r:expr, $w:ident => $body:expr; $($n:literal)*) => {
+        match $r {
+            0 => {}
+            $($n => {
+                const $w: usize = $n;
+                $body
+            })*
+            _ => unreachable!("remainder wider than any register group"),
+        }
+    };
+}
+
 pub mod blas;
 pub mod chol;
 pub mod dense;
@@ -51,7 +73,9 @@ pub use blas::{
     norm2, norm2_diff, norm2_scaled, norm2_scaled_diff, norm_inf, r_squared, r_squared_into,
     syrk_t, syrk_t_weighted, weighted_sumsq,
 };
-pub use chol::{lane, solve_normal_equations, solve_spd, store_lane, Cholesky, NotPositiveDefinite};
+pub use chol::{
+    lane, solve_normal_equations, solve_spd, store_lane, Cholesky, NotPositiveDefinite,
+};
 pub use dense::Matrix;
 pub use eig::{companion_matrix, spectral_radius, var_is_stable};
 pub use gram::{

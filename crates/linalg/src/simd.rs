@@ -1,13 +1,14 @@
-//! Run-time instruction-set dispatch for the two hottest kernels.
+//! Run-time instruction-set dispatch for the hottest kernels.
 //!
 //! The workspace compiles for the target's baseline ISA, which on x86-64
 //! is SSE2: two f64 lanes per register. The Gram tile sweep
-//! ([`crate::gram`]) and the lane-major panel solve
-//! ([`crate::chol::Cholesky::solve_panel_in_place`]) are generic plain-Rust
+//! ([`crate::gram`]), the lane-major panel solve
+//! ([`crate::chol::Cholesky::solve_panel_in_place`]) and the lockstep ADMM
+//! round ([`crate::chol::Cholesky::admm_round`]) are generic plain-Rust
 //! bodies that are additionally instantiated inside
 //! `#[target_feature(enable = ...)]` wrappers. [`isa`] probes the host once
 //! and names the widest instantiation it can run; callers dispatch on it
-//! once per tile sweep or panel solve, never per element.
+//! once per tile sweep, panel solve or round, never per element.
 //!
 //! Every instantiation performs the same IEEE operations in the same order:
 //! the bodies use no `std::arch` intrinsics and no `mul_add`, and Rust

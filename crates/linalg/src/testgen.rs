@@ -38,7 +38,11 @@ pub fn spd_with_condition(seed: u64, p: usize, cond: f64) -> Matrix {
     // Start from diag(d).
     let mut a = Matrix::zeros(p, p);
     for i in 0..p {
-        let t = if p == 1 { 0.0 } else { i as f64 / (p - 1) as f64 };
+        let t = if p == 1 {
+            0.0
+        } else {
+            i as f64 / (p - 1) as f64
+        };
         a[(i, i)] = cond.powf(-t);
     }
     // Apply p*2 random Givens rotations on both sides (keeps symmetry
@@ -116,7 +120,11 @@ pub fn scale_disparity_design(seed: u64, n: usize, p: usize, scale_span: f64) ->
     let x = random_design(seed, n, p);
     let mut out = x;
     for j in 0..p {
-        let t = if p == 1 { 0.0 } else { j as f64 / (p - 1) as f64 };
+        let t = if p == 1 {
+            0.0
+        } else {
+            j as f64 / (p - 1) as f64
+        };
         let scale = scale_span.powf(t);
         let col: Vec<f64> = out.col(j).iter().map(|v| v * scale).collect();
         out.set_col(j, &col);

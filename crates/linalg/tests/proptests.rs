@@ -499,17 +499,20 @@ fn edge_value(c: usize, (kind, v): (usize, f64)) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // The lane-major panel solve (groups of 8, 4, 2 and 1 lanes) must give
-    // every right-hand side the exact bits of a single-RHS solve, for every
-    // lane count 0..=70 and for orders on both sides of the blocked
-    // factorisation threshold, non-finite inputs included.
+    // The lane-major panel solve (full register groups, one remainder
+    // group of any narrower width, the forward pass two rows at a time)
+    // must give every right-hand side the exact bits of a single-RHS
+    // solve, for every lane count 0..=70 and for orders on both sides of
+    // the blocked factorisation threshold, odd orders (a single last
+    // forward row) and the 512 of `lasso_tall`, non-finite inputs
+    // included.
     #[test]
     fn panel_solve_bit_identical_to_single_rhs(
         seed in 0u64..1000,
-        vals in prop::collection::vec((0usize..60, -8.0..8.0f64), 300 * 70),
+        vals in prop::collection::vec((0usize..60, -8.0..8.0f64), 512 * 70),
     ) {
         const M_MAX: usize = 70;
-        for n in [1, 2, 63, 128, 129, 300] {
+        for n in [1, 2, 3, 63, 128, 129, 300, 512] {
             let g = Matrix::from_fn(n + 5, n, |i, j| {
                 (((i * 37 + j * 13) as f64 + seed as f64) * 0.29).sin()
             });
@@ -522,7 +525,12 @@ proptest! {
                 .map(|c| (0..n).map(|k| edge_value(c, vals[c * n + k])).collect())
                 .collect();
             let singles: Vec<Vec<f64>> = cols.iter().map(|b| ch.solve(b)).collect();
-            for m in 0..=M_MAX {
+            let widths: Vec<usize> = if n == 512 {
+                vec![0, 1, 7, 8, 9, 16, 17, 32, 33, M_MAX]
+            } else {
+                (0..=M_MAX).collect()
+            };
+            for m in widths {
                 let mut panel = vec![0.0; n * m];
                 for (c, b) in cols[..m].iter().enumerate() {
                     for (k, v) in b.iter().enumerate() {

@@ -22,10 +22,10 @@
 use crate::prox::soft_threshold_vec;
 use crate::resilience::FactorHealth;
 use std::sync::Arc;
+use uoi_linalg::kernels::{self, AdmmLanes};
 use uoi_linalg::{
-    factor_upper_jittered, gemv, gemv_into, gemv_t, gemv_t_into, kernels, lane, norm2,
-    norm2_diff, norm2_scaled, norm2_scaled_diff, store_lane, Cholesky, FactorBreakdown,
-    JitterLadder, Matrix,
+    factor_upper_jittered, gemv, gemv_into, gemv_t, gemv_t_into, lane, norm2, norm2_diff,
+    norm2_scaled, norm2_scaled_diff, store_lane, Cholesky, FactorBreakdown, JitterLadder, Matrix,
 };
 use uoi_telemetry::MetricsRegistry;
 
@@ -78,7 +78,7 @@ pub struct AdmmConfig {
     pub reltol: f64,
     /// In-rank worker count. The serial UoI pipelines fan their
     /// independent tasks (Gram bands, selection bootstraps, estimation
-    /// resamples, VAR column blocks) out over this many OS threads
+    /// resamples, VAR column ranges) out over this many OS threads
     /// (`uoi_linalg::par`); the dist and recovering executors keep one
     /// worker per rank, and a solver's own loops always run on the
     /// calling thread. The modeled clock charges a lockstep round as
@@ -217,15 +217,19 @@ pub struct AdmmSolution {
     pub curve: Vec<f64>,
 }
 
-/// Response columns per block when many columns share one factorisation
-/// (UoI_VAR selection: p columns over one bootstrap Gram). With q lambdas
-/// a fused block is `LOCKSTEP_COLUMNS * q` lanes advancing in one lockstep
-/// ([`LassoAdmm::solve_paths_with_rhs`]). Lane state (`z`, `u` and
-/// one panel row per lane) grows with the width while the substitution's
-/// register groups are already full at q = 8; four columns measured as
-/// fast as eight on `var_granger` at the parent's peak memory, eight cost
-/// about +9% peak memory.
-pub const LOCKSTEP_COLUMNS: usize = 4;
+/// Slots of the lockstep window behind the fused path entry points
+/// ([`LassoAdmm::solve_paths_with_rhs`]). The (column, lambda) problems
+/// of a call queue up in column-major order; up to this many advance
+/// together, one lane-parallel round per iteration, and a lane that
+/// converges, trips the divergence guard or reaches `max_iter` hands its
+/// slot to the next queued problem. The window only narrows once the
+/// queue is empty. Keeping it full is what matters: on `var_granger`
+/// (p = 128) with fixed 4-column blocks, a lane-iteration cost 11.1 us
+/// with fewer than 8 lanes active, 5.0 us with 8-31 and 3.5 us with 32.
+/// A full window is one 32-lane back-substitution group (two 16-lane
+/// forward groups) of the AVX-512 panel solve; its lane state is four
+/// `p x 32` panels (`X^T y`, `z`, `u`, the x-update).
+pub const LOCKSTEP_LANES: usize = 32;
 
 /// Residual curves returned in [`AdmmSolution::curve`] are decimated
 /// to at most this many samples (endpoints kept exactly).
@@ -361,9 +365,12 @@ pub struct AdmmWorkspace {
     /// Per-iteration primal residuals of the in-flight solve; only
     /// pushed to when [`AdmmConfig::capture_curve`] is set.
     curve: Vec<f64>,
-    /// Lane-major x-update panel of a lockstep round (p x active lanes,
-    /// `panel[i * lanes + lane]`); see [`LassoAdmm::step_many`].
-    panel: Vec<f64>,
+    /// Lane-major window of a lockstep round: `z`, `u`, the right-hand
+    /// sides and the x-update panel of every lane; see
+    /// [`LassoAdmm::step_many`].
+    lanes: AdmmLanes,
+    /// Queue index of the problem in each occupied window slot.
+    slot_task: Vec<usize>,
     /// Woodbury scratch of a lockstep round: the inner solves' panel
     /// (n x active lanes).
     wn_panel: Vec<f64>,
@@ -434,7 +441,7 @@ enum DesignStore {
 /// A LASSO-ADMM solver with cached factorisation for a fixed design.
 ///
 /// `Clone` shares the design and the factorisation (two `Arc` bumps), so
-/// concurrent column blocks over one factor can each carry their own
+/// concurrent column ranges over one factor can each carry their own
 /// metrics registry ([`LassoAdmm::with_metrics`]).
 #[derive(Clone)]
 pub struct LassoAdmm {
@@ -706,42 +713,59 @@ impl LassoAdmm {
         }
     }
 
-    /// Iteration stage 2 (lockstep form): apply `(X^T X + rho I)^{-1}` in
-    /// place to the `lanes` right-hand sides in `ws.panel`. Each lane's
-    /// result is bit-identical to [`Self::x_update`] on that column.
-    fn x_update_panel(&self, lanes: usize, ws: &mut AdmmWorkspace) {
+    /// One lockstep round over every occupied lane of `ws.lanes`. A
+    /// primal factor runs the whole round as one dispatched call
+    /// ([`Cholesky::admm_round`]); the Woodbury form builds the
+    /// right-hand sides, applies its inverse lane by lane around one
+    /// inner panel solve, then runs the same z-/u-update stage. Each lane
+    /// is bit-identical to [`Self::iterate`] on its problem.
+    fn lane_round(&self, ws: &mut AdmmWorkspace) {
         match &*self.factor {
-            Factorization::Primal(ch) => ch.solve_panel_in_place(&mut ws.panel, lanes),
+            Factorization::Primal(ch) => ch.admm_round(&mut ws.lanes),
             Factorization::Woodbury(ch) => {
                 let x = self.dense();
                 let rho = self.rho;
                 let AdmmWorkspace {
-                    panel,
+                    lanes,
                     wn_panel,
                     rhs,
                     wn,
                     wt,
                     ..
                 } = ws;
+                lanes.build_rhs();
+                let (slots, m) = (lanes.slots(), lanes.width());
+                let panel = lanes.x_mut();
                 wn_panel.clear();
-                wn_panel.resize(x.rows() * lanes, 0.0);
-                for c in 0..lanes {
+                wn_panel.resize(x.rows() * m, 0.0);
+                for c in 0..m {
                     rhs.clear();
-                    rhs.extend(lane(panel, lanes, c));
+                    rhs.extend(lane(panel, slots, c));
                     gemv_into(x, rhs, wn);
-                    store_lane(wn_panel, lanes, c, wn);
+                    store_lane(wn_panel, m, c, wn);
                 }
-                ch.solve_panel_in_place(wn_panel, lanes);
-                for c in 0..lanes {
+                ch.solve_panel_in_place(wn_panel, m);
+                for c in 0..m {
                     wn.clear();
-                    wn.extend(lane(wn_panel, lanes, c));
+                    wn.extend(lane(wn_panel, m, c));
                     gemv_t_into(x, wn, wt);
-                    for (v, wi) in panel[c..].iter_mut().step_by(lanes).zip(&*wt) {
+                    for (v, wi) in panel[c..].iter_mut().step_by(slots).zip(&*wt) {
                         *v = (*v - wi) / rho;
                     }
                 }
+                lanes.update();
             }
         }
+    }
+
+    /// The convergence test of [`Self::finish_iterate`] on a lane's five
+    /// norms ([`AdmmLanes::norms`]): `(r_norm, s_norm, converged)`.
+    fn lane_verdict(&self, norms: [f64; kernels::ADMM_NORMS]) -> (f64, f64, bool) {
+        let [r_norm, s_norm, x_norm, z_norm, u_norm] = norms;
+        let sqrt_p = (self.n_coefficients() as f64).sqrt();
+        let eps_pri = sqrt_p * self.cfg.abstol + self.cfg.reltol * x_norm.max(z_norm);
+        let eps_dual = sqrt_p * self.cfg.abstol + self.cfg.reltol * u_norm;
+        (r_norm, s_norm, r_norm <= eps_pri && s_norm <= eps_dual)
     }
 
     /// Iteration stage 3: z-/u-updates, residual norms (Boyd §3.3.1, fused
@@ -968,13 +992,12 @@ impl LassoAdmm {
 
     /// Advance every unconverged task one ADMM iteration in lockstep.
     ///
-    /// The active lanes' right-hand sides are built straight into the
-    /// lane-major panel of `ws`, and the round's x-updates run as one
-    /// lane-parallel substitution over the shared Cholesky factor
-    /// ([`Cholesky::solve_panel_in_place`]). The z-/u-updates then run per
-    /// lane through `ws`'s shared scratch, so a task's state holds only
-    /// `z`, `u` and its residual curve. Allocation-free once `ws` has seen
-    /// a round of this width.
+    /// The active tasks' `X^T y`, `z` and `u` are loaded into the
+    /// lane-major window of `ws`, one lockstep round runs over it
+    /// ([`Cholesky::admm_round`]: right-hand sides, one lane-parallel
+    /// substitution over the shared factor, z-/u-updates and residual
+    /// norms), and `z` and `u` are copied back. Allocation-free once `ws`
+    /// has seen a round of this width.
     ///
     /// Per task the arithmetic matches [`LassoAdmm::step`] in order and
     /// association, so iterates, residuals, and convergence decisions are
@@ -987,33 +1010,18 @@ impl LassoAdmm {
         if lanes == 0 {
             return;
         }
-        let p = self.n_coefficients();
-        let rho = self.rho;
-
-        // Stage 1: rhs builds `X^T y + rho (z - u)`, into the panel.
-        ws.panel.clear();
-        ws.panel.resize(p * lanes, 0.0);
-        let active = tasks.iter_mut().filter(|t| !t.state.converged);
-        for (c, t) in active.enumerate() {
-            t.state.iterations += 1;
-            let AdmmState { z, u, .. } = &*t.state;
-            let slots = ws.panel[c..].iter_mut().step_by(lanes);
-            for (((r, xi), zi), ui) in slots.zip(t.xty).zip(z).zip(u) {
-                *r = xi + rho * (zi - ui);
-            }
+        ws.lanes.reset(self.n_coefficients(), lanes, self.rho);
+        for t in tasks.iter().filter(|t| !t.state.converged) {
+            let c = ws.lanes.push(t.xty, t.lambda / self.rho);
+            ws.lanes.set_state(c, &t.state.z, &t.state.u);
         }
-
-        // Stage 2: one lane-parallel x-update.
-        self.x_update_panel(lanes, ws);
-
-        // Stage 3: z-/u-updates, residuals, convergence — per lane.
+        self.lane_round(ws);
         let active = tasks.iter_mut().filter(|t| !t.state.converged);
         for (c, t) in active.enumerate() {
-            ws.x_var.clear();
-            ws.x_var.extend(lane(&ws.panel, lanes, c));
             let st = &mut *t.state;
-            let (r_norm, s_norm, conv) =
-                self.finish_iterate(t.lambda / rho, &mut st.z, &mut st.u, ws);
+            st.iterations += 1;
+            ws.lanes.state(c, &mut st.z, &mut st.u);
+            let (r_norm, s_norm, conv) = self.lane_verdict(ws.lanes.norms(c));
             if self.cfg.capture_curve {
                 st.scratch.curve.push(r_norm);
             }
@@ -1215,22 +1223,38 @@ impl LassoAdmm {
         }
     }
 
-    /// The lockstep behind every fused path entry point. Lane `c * q + j`
-    /// is column `c` at lambda `j`; with `guard` set, a lane whose
-    /// residuals turn non-finite or exceed the cap is frozen after its
-    /// round and reported in its column's diverged list.
+    /// The lockstep behind every fused path entry point: a window of
+    /// [`LOCKSTEP_LANES`] slots over the queue of (column, lambda)
+    /// problems, problem `c * q + j` being column `c` at lambda `j`. Each
+    /// round advances every occupied slot one iteration
+    /// ([`Self::lane_round`]); a lane then retires when it converges,
+    /// when `guard` is set and its residuals turn non-finite or exceed the
+    /// cap (reported in its column's diverged list), or when it reaches
+    /// `max_iter`, and the next queued problem takes its slot. A lane's
+    /// arithmetic does not depend on its slot or on its neighbours, so
+    /// every problem is bit-identical to iterating it alone.
     ///
-    /// The lanes are stepped by a metrics-free clone; each column's
-    /// bookkeeping is recorded afterwards, in column order, exactly as a
-    /// one-column lockstep records it: converged lanes by (iterations,
-    /// lambda index) — the order `step_many` notes them in — then the
-    /// round count, then the per-lambda path stats with the non-converged
-    /// lanes' solve records.
+    /// Each column's bookkeeping is recorded afterwards, in column order,
+    /// exactly as a one-column lockstep records it: converged lanes by
+    /// (iterations, lambda index) — the order `step_many` notes them in —
+    /// then the round count, then the per-lambda path stats with the
+    /// non-converged lanes' solve records.
     fn lockstep_paths(
         &self,
         xtys: &[&[f64]],
         lambdas: &[f64],
         guard: Option<f64>,
+    ) -> Vec<(Vec<AdmmSolution>, Vec<usize>)> {
+        self.lockstep_window(xtys, lambdas, guard, LOCKSTEP_LANES)
+    }
+
+    /// [`Self::lockstep_paths`] with a window of `window` slots.
+    fn lockstep_window(
+        &self,
+        xtys: &[&[f64]],
+        lambdas: &[f64],
+        guard: Option<f64>,
+        window: usize,
     ) -> Vec<(Vec<AdmmSolution>, Vec<usize>)> {
         let p = self.n_coefficients();
         for xty in xtys {
@@ -1240,89 +1264,109 @@ impl LassoAdmm {
             assert!(lam >= 0.0);
         }
         let q = lambdas.len();
-        let stepper = LassoAdmm {
-            metrics: None,
-            ..self.clone()
-        };
-        let mut states: Vec<AdmmState> = (0..xtys.len() * q).map(|_| self.init_state()).collect();
-        let mut tripped = vec![false; states.len()];
-        let mut ws = AdmmWorkspace::new();
-        let mut tasks: Vec<StepTask<'_>> = states
-            .iter_mut()
-            .enumerate()
-            .map(|(i, state)| StepTask {
-                xty: xtys[i / q],
-                lambda: lambdas[i % q],
-                state,
+        let queued = xtys.len() * q;
+        // One outcome per queued problem, filled in as its lane runs; the
+        // iterate is copied out when the lane retires, and the curve is
+        // decimated at the end.
+        let mut sols: Vec<AdmmSolution> = (0..queued)
+            .map(|_| AdmmSolution {
+                beta: Vec::new(),
+                iterations: 0,
+                primal_residual: f64::INFINITY,
+                dual_residual: f64::INFINITY,
+                converged: false,
+                curve: Vec::new(),
             })
             .collect();
-        for _ in 0..self.cfg.max_iter {
-            if tasks.iter().all(|t| t.state.converged) {
-                break;
-            }
-            stepper.step_many(&mut tasks, &mut ws);
-            let Some(cap) = guard else { continue };
-            for (flag, t) in tripped.iter_mut().zip(tasks.iter_mut()) {
-                let st = &mut *t.state;
-                if st.converged || *flag {
+        let mut tripped = vec![false; queued];
+        let mut ws = AdmmWorkspace::new();
+        // `max_iter == 0` leaves every problem at its cold start.
+        let slots = if self.cfg.max_iter == 0 {
+            0
+        } else {
+            window.min(queued)
+        };
+        ws.lanes.reset(p, slots, self.rho);
+        ws.slot_task.reserve(slots);
+        let kappa = |t: usize| lambdas[t % q] / self.rho;
+        let mut next = 0;
+        while next < slots {
+            ws.lanes.push(xtys[next / q], kappa(next));
+            ws.slot_task.push(next);
+            next += 1;
+        }
+        while ws.lanes.width() > 0 {
+            self.lane_round(&mut ws);
+            // Descending: a slot that takes a queued problem, or the last
+            // lane on a swap-remove, is not visited again this round, and
+            // the last lane has already been judged.
+            for c in (0..ws.lanes.width()).rev() {
+                let t = ws.slot_task[c];
+                let sol = &mut sols[t];
+                let (r, s, conv) = self.lane_verdict(ws.lanes.norms(c));
+                sol.iterations += 1;
+                sol.primal_residual = r;
+                sol.dual_residual = s;
+                if self.cfg.capture_curve {
+                    sol.curve.push(r);
+                }
+                sol.converged = conv;
+                tripped[t] = !conv
+                    && guard
+                        .is_some_and(|cap| !r.is_finite() || !s.is_finite() || r > cap || s > cap);
+                if !(conv || tripped[t] || sol.iterations >= self.cfg.max_iter) {
                     continue;
                 }
-                let (r, s) = (st.primal_residual, st.dual_residual);
-                if !r.is_finite() || !s.is_finite() || r > cap || s > cap {
-                    *flag = true;
-                    // Freeze the lane so later rounds skip it; the
-                    // collection below reports it as non-converged.
-                    st.converged = true;
+                sol.beta.resize(p, 0.0);
+                ws.lanes.z(c, &mut sol.beta);
+                if next < queued {
+                    ws.lanes.load(c, xtys[next / q], kappa(next));
+                    ws.slot_task[c] = next;
+                    next += 1;
+                } else {
+                    ws.lanes.swap_remove(c);
+                    ws.slot_task.swap_remove(c);
                 }
             }
         }
-        drop(tasks);
 
-        let mut states = states.into_iter();
+        let mut sols = sols.into_iter();
         let mut out = Vec::with_capacity(xtys.len());
         for c in 0..xtys.len() {
             let flags = &tripped[c * q..(c + 1) * q];
-            let col: Vec<AdmmState> = states.by_ref().take(q).collect();
-            let converged = |j: usize| col[j].converged && !flags[j];
+            let mut col: Vec<AdmmSolution> = sols.by_ref().take(q).collect();
             if let Some(m) = &self.metrics {
-                let mut order: Vec<usize> = (0..q).filter(|&j| converged(j)).collect();
+                let mut order: Vec<usize> = (0..q).filter(|&j| col[j].converged).collect();
                 order.sort_by_key(|&j| col[j].iterations);
                 for j in order {
-                    let st = &col[j];
-                    self.note_solve(st.iterations, true, st.primal_residual, st.dual_residual);
+                    let sol = &col[j];
+                    self.note_solve(sol.iterations, true, sol.primal_residual, sol.dual_residual);
                 }
-                let rounds = col.iter().map(|st| st.iterations).max().unwrap_or(0);
+                let rounds = col.iter().map(|sol| sol.iterations).max().unwrap_or(0);
                 m.observe("admm.path.fused_rounds", rounds as f64);
             }
-            let mut sols = Vec::with_capacity(q);
             let mut diverged = Vec::new();
-            for (j, st) in col.into_iter().enumerate() {
-                let converged = st.converged && !flags[j];
-                if !converged {
-                    self.note_solve(st.iterations, false, st.primal_residual, st.dual_residual);
+            for (j, sol) in col.iter_mut().enumerate() {
+                // A problem that never ran keeps its cold start.
+                sol.beta.resize(p, 0.0);
+                sol.curve = decimate_curve(&sol.curve, CURVE_MAX_POINTS);
+                if !sol.converged {
+                    self.note_solve(
+                        sol.iterations,
+                        false,
+                        sol.primal_residual,
+                        sol.dual_residual,
+                    );
                 }
                 if let Some(m) = &self.metrics {
                     m.incr("admm.path.solves", 1);
-                    m.observe("admm.path.iterations", st.iterations as f64);
+                    m.observe("admm.path.iterations", sol.iterations as f64);
                 }
                 if flags[j] {
                     diverged.push(j);
                 }
-                let curve = if self.cfg.capture_curve {
-                    decimate_curve(&st.scratch.curve, CURVE_MAX_POINTS)
-                } else {
-                    Vec::new()
-                };
-                sols.push(AdmmSolution {
-                    beta: st.z,
-                    iterations: st.iterations,
-                    primal_residual: st.primal_residual,
-                    dual_residual: st.dual_residual,
-                    converged,
-                    curve,
-                });
             }
-            out.push((sols, diverged));
+            out.push((col, diverged));
         }
         out
     }
@@ -2084,8 +2128,9 @@ mod block_tests {
     use super::*;
 
     /// A VAR-shaped problem: one Gram shared by `cols` response columns,
-    /// capped tight enough that some lanes hit `max_iter`.
-    fn block_problem(cols: usize) -> (LassoAdmm, Vec<Vec<f64>>, Vec<f64>) {
+    /// with `q` lambdas, capped tight enough that some lanes hit
+    /// `max_iter`.
+    fn block_problem(cols: usize, q: usize) -> (LassoAdmm, Vec<Vec<f64>>, Vec<f64>) {
         let (n, p) = (60, 12);
         let x = Matrix::from_fn(n, p, |i, j| {
             (((i * 31 + j * 17) % 23) as f64 - 11.0) / 11.0 + 0.1 * ((i + j) as f64).sin()
@@ -2093,7 +2138,9 @@ mod block_tests {
         let xtys: Vec<Vec<f64>> = (0..cols)
             .map(|c| {
                 let y: Vec<f64> = (0..n)
-                    .map(|i| x[(i, c % p)] * 2.0 - x[(i, (c * 5 + 3) % p)] + 0.3 * ((i * c) as f64).cos())
+                    .map(|i| {
+                        x[(i, c % p)] * 2.0 - x[(i, (c * 5 + 3) % p)] + 0.3 * ((i * c) as f64).cos()
+                    })
                     .collect();
                 gemv_t(&x, &y)
             })
@@ -2106,9 +2153,21 @@ mod block_tests {
             capture_curve: true,
             ..Default::default()
         };
-        let lambdas = vec![40.0, 20.0, 8.0, 3.0, 1.0, 0.0];
-        (LassoAdmm::from_gram(uoi_linalg::syrk_t(&x), cfg), xtys, lambdas)
+        let grid = [40.0, 20.0, 8.0, 3.0, 1.0, 0.4, 0.1, 0.0];
+        let lambdas = if q == 1 {
+            vec![3.0]
+        } else {
+            grid[..q].to_vec()
+        };
+        (
+            LassoAdmm::from_gram(uoi_linalg::syrk_t(&x), cfg),
+            xtys,
+            lambdas,
+        )
     }
+
+    /// Window sizes around the register groups and the default window.
+    const WINDOWS: [usize; 6] = [1, 7, 8, 31, 32, 33];
 
     fn assert_paths_bit_identical(a: &[AdmmSolution], b: &[AdmmSolution], what: &str) {
         assert_eq!(a.len(), b.len(), "{what}");
@@ -2128,13 +2187,17 @@ mod block_tests {
         assert_eq!(sa, sb, "{what}: metrics snapshot");
         for name in sa.histograms.keys() {
             let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(a.samples(name)), bits(b.samples(name)), "{what}: {name} order");
+            assert_eq!(
+                bits(a.samples(name)),
+                bits(b.samples(name)),
+                "{what}: {name} order"
+            );
         }
     }
 
     /// The one-column fused path as a round loop over `step_many`, which
     /// notes converging lanes as they converge: the recording order the
-    /// block lockstep must reproduce per column.
+    /// window must reproduce per column.
     fn stepped_reference(solver: &LassoAdmm, xty: &[f64], lambdas: &[f64]) -> Vec<AdmmSolution> {
         let mut states: Vec<AdmmState> = lambdas.iter().map(|_| solver.init_state()).collect();
         let mut ws = AdmmWorkspace::new();
@@ -2174,71 +2237,120 @@ mod block_tests {
     }
 
     #[test]
-    fn column_blocks_match_per_column_paths_bitwise() {
-        let w = LOCKSTEP_COLUMNS;
-        // Block sizes around the width, plus p = 2w + 3 cut into blocks of
-        // w the way UoI_VAR selection cuts its columns.
-        for (p, block) in [(1, 1), (w - 1, w - 1), (w, w), (w + 1, w + 1), (2 * w + 3, w)] {
-            let (solver, xtys, lambdas) = block_problem(p);
-            let block_metrics = Arc::new(MetricsRegistry::new());
-            let blocked = solver.clone().with_metrics(block_metrics.clone());
-            let mut got = Vec::new();
-            for chunk in xtys.chunks(block) {
-                let refs: Vec<&[f64]> = chunk.iter().map(Vec::as_slice).collect();
-                got.extend(blocked.solve_paths_with_rhs(&refs, &lambdas));
-            }
-            let col_metrics = Arc::new(MetricsRegistry::new());
-            let per_col = solver.clone().with_metrics(col_metrics.clone());
-            let ref_metrics = Arc::new(MetricsRegistry::new());
-            let stepped = solver.clone().with_metrics(ref_metrics.clone());
-            assert_eq!(got.len(), p);
-            let mut capped = 0;
-            for (c, (xty, sols)) in xtys.iter().zip(&got).enumerate() {
-                let what = format!("p={p} block={block} column {c}");
-                assert_paths_bit_identical(sols, &per_col.solve_path_fused_with_rhs(xty, &lambdas), &what);
-                assert_paths_bit_identical(sols, &stepped_reference(&stepped, xty, &lambdas), &what);
-                for (sol, &lam) in sols.iter().zip(&lambdas) {
-                    assert_paths_bit_identical(
-                        std::slice::from_ref(sol),
-                        &[solver.solve_with_rhs(xty, lam)],
-                        &format!("{what} cold lambda {lam}"),
-                    );
+    fn refill_windows_match_per_column_paths_bitwise() {
+        // Every window size against column counts whose problems fill it
+        // partly, exactly or several times over, so slots are refilled
+        // with the next column's problems mid-path and the window drains
+        // through every width.
+        let (mut capped, mut converged) = (0, 0);
+        for window in WINDOWS {
+            for cols in [1, 3, 5, 17] {
+                for q in [1, 8] {
+                    let (solver, xtys, lambdas) = block_problem(cols, q);
+                    let refs: Vec<&[f64]> = xtys.iter().map(Vec::as_slice).collect();
+                    let window_metrics = Arc::new(MetricsRegistry::new());
+                    let got: Vec<Vec<AdmmSolution>> = solver
+                        .clone()
+                        .with_metrics(window_metrics.clone())
+                        .lockstep_window(&refs, &lambdas, None, window)
+                        .into_iter()
+                        .map(|(sols, diverged)| {
+                            assert!(diverged.is_empty());
+                            sols
+                        })
+                        .collect();
+                    let col_metrics = Arc::new(MetricsRegistry::new());
+                    let per_col = solver.clone().with_metrics(col_metrics.clone());
+                    let ref_metrics = Arc::new(MetricsRegistry::new());
+                    let stepped = solver.clone().with_metrics(ref_metrics.clone());
+                    assert_eq!(got.len(), cols);
+                    for (c, (xty, sols)) in xtys.iter().zip(&got).enumerate() {
+                        let what = format!("window={window} cols={cols} q={q} column {c}");
+                        let one = per_col.solve_path_fused_with_rhs(xty, &lambdas);
+                        assert_paths_bit_identical(sols, &one, &what);
+                        let reference = stepped_reference(&stepped, xty, &lambdas);
+                        assert_paths_bit_identical(sols, &reference, &what);
+                        for (sol, &lam) in sols.iter().zip(&lambdas) {
+                            assert_paths_bit_identical(
+                                std::slice::from_ref(sol),
+                                &[solver.solve_with_rhs(xty, lam)],
+                                &format!("{what} cold lambda {lam}"),
+                            );
+                        }
+                        capped += sols.iter().filter(|s| !s.converged).count();
+                        converged += sols.iter().filter(|s| s.converged).count();
+                    }
+                    let what = format!("window={window} cols={cols} q={q}");
+                    assert_same_metrics(&window_metrics, &col_metrics, &what);
+                    assert_same_metrics(&window_metrics, &ref_metrics, &what);
                 }
-                capped += sols.iter().filter(|s| !s.converged).count();
             }
-            assert!(capped > 0, "p={p}: some lanes must hit the cap");
-            assert!(capped < p * lambdas.len(), "p={p}: some lanes must converge");
-            assert_same_metrics(&block_metrics, &col_metrics, &format!("p={p} block vs column"));
-            assert_same_metrics(&block_metrics, &ref_metrics, &format!("p={p} block vs stepped"));
+        }
+        assert!(capped > 0, "some lanes must hit max_iter");
+        assert!(converged > 0, "some lanes must converge");
+    }
+
+    #[test]
+    fn default_window_serves_the_block_entry_points() {
+        let (solver, xtys, lambdas) = block_problem(17, 8);
+        let refs: Vec<&[f64]> = xtys.iter().map(Vec::as_slice).collect();
+        let paths = solver.solve_paths_with_rhs(&refs, &lambdas);
+        let window = solver.lockstep_window(&refs, &lambdas, None, LOCKSTEP_LANES);
+        for (c, (got, (want, _))) in paths.iter().zip(&window).enumerate() {
+            assert_paths_bit_identical(got, want, &format!("column {c}"));
+        }
+        // No lambdas: one empty path per column.
+        let empty = solver.solve_paths_with_rhs(&refs, &[]);
+        assert_eq!(empty.len(), refs.len());
+        assert!(empty.iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn guarded_window_freezes_and_reports_only_the_diverging_column() {
+        let cap = crate::resilience::DEFAULT_DIVERGENCE_CAP;
+        for window in WINDOWS {
+            for cols in [3, 5, 17] {
+                let (solver, mut xtys, lambdas) = block_problem(cols, 8);
+                let bad = cols / 2;
+                for v in &mut xtys[bad] {
+                    *v *= 1e200;
+                }
+                let refs: Vec<&[f64]> = xtys.iter().map(Vec::as_slice).collect();
+                let got = solver.lockstep_window(&refs, &lambdas, Some(cap), window);
+                assert_eq!(got.len(), cols);
+                for (c, (xty, (sols, diverged))) in xtys.iter().zip(&got).enumerate() {
+                    let what = format!("window={window} cols={cols} column {c}");
+                    let (want, want_diverged) =
+                        solver.solve_path_fused_guarded_with_rhs(xty, &lambdas, cap);
+                    assert_paths_bit_identical(sols, &want, &what);
+                    assert_eq!(diverged, &want_diverged, "{what}");
+                    if c == bad {
+                        assert!(!diverged.is_empty(), "{what}: must trip the guard");
+                        for &j in diverged {
+                            assert!(!sols[j].converged);
+                            assert_eq!(sols[j].iterations, 1, "a tripped lane stops at its round");
+                        }
+                    } else {
+                        assert!(diverged.is_empty(), "{what}: must not be reported");
+                        let plain = solver.solve_path_fused_with_rhs(xty, &lambdas);
+                        assert_paths_bit_identical(sols, &plain, &format!("clean {what}"));
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn guarded_block_freezes_and_reports_only_the_diverging_column() {
-        let w = LOCKSTEP_COLUMNS;
-        let (solver, mut xtys, lambdas) = block_problem(w + 1);
-        let bad = 3;
-        for v in &mut xtys[bad] {
-            *v *= 1e200;
-        }
-        let cap = crate::resilience::DEFAULT_DIVERGENCE_CAP;
+    fn zero_max_iter_window_keeps_cold_starts() {
+        let (mut solver, xtys, lambdas) = block_problem(3, 8);
+        solver.cfg.max_iter = 0;
         let refs: Vec<&[f64]> = xtys.iter().map(Vec::as_slice).collect();
-        let got = solver.solve_paths_guarded_with_rhs(&refs, &lambdas, cap);
-        assert_eq!(got.len(), w + 1);
-        for (c, (xty, (sols, diverged))) in xtys.iter().zip(&got).enumerate() {
-            let (want, want_diverged) = solver.solve_path_fused_guarded_with_rhs(xty, &lambdas, cap);
-            assert_paths_bit_identical(sols, &want, &format!("column {c}"));
-            assert_eq!(diverged, &want_diverged, "column {c}");
-            if c == bad {
-                assert!(!diverged.is_empty(), "the scaled column must trip the guard");
-                for &j in diverged {
-                    assert!(!sols[j].converged);
-                    assert_eq!(sols[j].iterations, 1, "a tripped lane is frozen at its round");
-                }
-            } else {
-                assert!(diverged.is_empty(), "column {c} must not be reported");
-                let plain = solver.solve_path_fused_with_rhs(xty, &lambdas);
-                assert_paths_bit_identical(sols, &plain, &format!("clean column {c}"));
+        for (sols, diverged) in solver.lockstep_paths(&refs, &lambdas, None) {
+            assert!(diverged.is_empty());
+            for sol in sols {
+                assert_eq!(sol.iterations, 0);
+                assert!(!sol.converged);
+                assert_eq!(sol.beta, vec![0.0; 12]);
             }
         }
     }

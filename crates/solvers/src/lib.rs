@@ -31,7 +31,7 @@ pub mod resilience;
 pub use admm::{
     admm_factor_flops, admm_iter_flops, lockstep_round_charges, AdmmConfig, AdmmConfigBuilder,
     AdmmSolution, AdmmState, AdmmStatus, AdmmWorkspace, InvalidConfig, LassoAdmm, PathSchedule,
-    StepTask, LOCKSTEP_COLUMNS,
+    StepTask, LOCKSTEP_LANES,
 };
 pub use admm_dist::DistLassoAdmm;
 pub use cd::{lasso_cd, lasso_cd_warm, mcp_cd, ridge, scad_cd, CdConfig};

@@ -180,17 +180,22 @@ fn fused_allocs_at_both_caps(solve: impl Fn(&LassoAdmm)) -> (usize, usize) {
     (count(20), count(150))
 }
 
-/// A fused path's rounds allocate nothing: the lane states, the task list
-/// and the shared panel are sized before the first round, so a path that
-/// runs 150 rounds allocates exactly what one running 20 does — for one
-/// column and for a block of columns sharing the factor.
+/// A fused path's rounds allocate nothing: the lockstep window, its slot
+/// table and the per-problem records are sized before the first round,
+/// and the only allocation after that is each problem's result vector,
+/// once, when its lane retires. So a path that runs 150 rounds allocates
+/// exactly what one running 20 does — for one column, for a block of
+/// columns sharing the factor, and for a block with more problems than
+/// the window has slots, whose slots are refilled as lanes retire.
 #[test]
 fn fused_rounds_are_allocation_free() {
     let (n, p) = (48, 12);
     let x = deterministic_design(n, p);
     let xtys: Vec<Vec<f64>> = (0..5)
         .map(|c| {
-            let y: Vec<f64> = (0..n).map(|i| ((i * (c + 2)) as f64 * 0.13).sin()).collect();
+            let y: Vec<f64> = (0..n)
+                .map(|i| ((i * (c + 2)) as f64 * 0.13).sin())
+                .collect();
             uoi_linalg::gemv_t(&x, &y)
         })
         .collect();
@@ -208,4 +213,13 @@ fn fused_rounds_are_allocation_free() {
         assert!(paths.iter().flatten().all(|sol| !sol.converged));
     });
     assert_eq!(short, long, "block fused path allocated per round");
+
+    // 17 columns x 5 lambdas = 85 problems through a 32-slot window.
+    let many: Vec<&[f64]> = (0..17).map(|c| refs[c % refs.len()]).collect();
+    assert!(many.len() * lambdas.len() > uoi_solvers::LOCKSTEP_LANES);
+    let (short, long) = fused_allocs_at_both_caps(|s| {
+        let paths = s.solve_paths_with_rhs(&many, &lambdas);
+        assert!(paths.iter().flatten().all(|sol| !sol.converged));
+    });
+    assert_eq!(short, long, "refilling fused window allocated per round");
 }
